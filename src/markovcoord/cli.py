@@ -15,9 +15,10 @@ from .harness import (
     KINDS,
     ParseError,
     ValidationError,
+    config_from_dict,
     default_config,
     emit_report,
-    load_config,
+    read_config,
     run_experiment,
 )
 
@@ -49,19 +50,14 @@ def main(argv=None) -> int:
         print("error: --config is required (or use --print-defaults)", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(args.config, kind=args.kind)
+        raw = read_config(args.config)
+        overrides = {"master_seed": args.seed, "trials": args.trials,
+                     "output_path": args.out}
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+        cfg = config_from_dict(raw, kind=args.kind)
     except (ParseError, ValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None or args.trials is not None or args.out is not None:
-        from dataclasses import replace
-
-        cfg = replace(
-            cfg,
-            master_seed=cfg.master_seed if args.seed is None else args.seed,
-            trials=cfg.trials if args.trials is None else args.trials,
-            output_path=cfg.output_path if args.out is None else args.out,
-        )
     records = run_experiment(cfg)
     paths = emit_report(records, cfg.output_path)
     n_err = sum(bool(r["error"]) for r in records.rows)

@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .probability import Kernel, cond_mutual_info
-from .region import InnerCandidate, assemble_inner
+from .probability import Kernel
+from .region import InnerCandidate
 from .rng import derive_key, derive_keys, make_cdf, sample_from_cdf, uniforms
 from .typicality import FullType, full_type, triplet_type
 
@@ -101,11 +101,7 @@ class SchemeConfig:
 
     def info_bounds(self) -> Tuple[float, float]:
         """(I(U;W|X), I(X;Y|Y')) of the candidate, the rate window ends."""
-        joint = assemble_inner(self.candidate)
-        return (
-            cond_mutual_info(joint.marginal([0, 2, 1])),
-            cond_mutual_info(joint.marginal([1, 4, 3])),
-        )
+        return self.candidate.i_auxiliary, self.candidate.i_channel
 
     @property
     def m_count(self) -> int:
@@ -133,12 +129,8 @@ class Codebook:
         self.m_count = message_count(n, rate)
         self.x_words: Optional[np.ndarray] = None
         self.w_words: Optional[np.ndarray] = None
-        nu, nx, nw, ny, nv = candidate.sizes
-        self._sizes = (nu, nx, nw, ny, nv)
         self._x_cdf = make_cdf(candidate.p_x.pmf)[None, :]
-        p_w_given_x = np.einsum("u,uxw->xw", candidate.p_u.pmf,
-                                candidate.p_w_given_ux.table)
-        self._w_cdf = make_cdf(p_w_given_x)
+        self._w_cdf = make_cdf(candidate.p_w_given_x)
         self._key_x = derive_key(seed, _TAG_X)
         self._key_w = derive_key(seed, _TAG_W)
         self._zero_rows = np.zeros(n, dtype=np.int64)
@@ -196,51 +188,16 @@ def gen_codebook(cfg: SchemeConfig) -> Codebook:
     return cb
 
 
-# ---------------------------------------------------------------------------
-# per-operation targets derived from the candidate
-# ---------------------------------------------------------------------------
-
-
-class _SchemeContext:
-    """Flattened target tables and sampling cdfs shared across blocks."""
-
-    def __init__(self, candidate: InnerCandidate):
-        nu, nx, nw, ny, nv = candidate.sizes
-        self.sizes = (nu, nx, nw, ny, nv)
-        joint = assemble_inner(candidate)
-        pi = joint.marginal([3]).pmf
-        self.target5 = joint.marginal([0, 1, 3, 4, 5])
-        # covering target over (u, x, w), iid coordinates
-        self.p_uxw = np.einsum("u,x,uxw->uxw", candidate.p_u.pmf,
-                               candidate.p_x.pmf, candidate.p_w_given_ux.table)
-        self.p_uxw_flat = self.p_uxw.ravel()
-        # decoder condition 1 target over (y', x, y)
-        self.q3 = np.einsum("i,x,xiy->ixy", pi, candidate.p_x.pmf,
-                            candidate.channel.table)
-        self.q3_flat = self.q3.ravel()
-        # decoder condition 2 target over (y', x, w, y)
-        p_w_given_x = np.einsum("u,uxw->xw", candidate.p_u.pmf,
-                                candidate.p_w_given_ux.table)
-        self.q4_flat = np.einsum("i,x,xw,xiy->ixwy", pi, candidate.p_x.pmf,
-                                 p_w_given_x, candidate.channel.table).ravel()
-        self.u_cdf = make_cdf(candidate.p_u.pmf)
-        self.chan_cdf = make_cdf(
-            candidate.channel.table.reshape(nx * ny, ny))
-        self.v_cdf = make_cdf(
-            candidate.p_v_given_yxw.table.reshape(ny * nx * nw, nv))
-
-
-def _cover_gaps(ctx: _SchemeContext, u_prev: np.ndarray, x_prev: np.ndarray,
+def _cover_gaps(candidate: InnerCandidate, u_prev: np.ndarray, x_prev: np.ndarray,
                 w_chunk: np.ndarray, n: int) -> np.ndarray:
-    nu, nx, nw, _, _ = ctx.sizes
+    nu, nx, nw, _, _ = candidate.sizes
     base = (u_prev * nx + x_prev) * nw
     counts = kernels.offset_counts(w_chunk, base, 1, nu * nx * nw)
-    return np.abs(counts / n - ctx.p_uxw_flat).sum(axis=1)
+    return np.abs(counts / n - candidate.cover_target.ravel()).sum(axis=1)
 
 
 def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
-                 scan_limit: Optional[int] = None,
-                 ctx: Optional[_SchemeContext] = None) -> Optional[int]:
+                 scan_limit: Optional[int] = None) -> Optional[int]:
     """Covering search: smallest index m whose auxiliary word is jointly
     iid-typical with (u_prev, X^n(m_prev)) within eps; None on failure.
 
@@ -248,7 +205,6 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     candidates are examined, so None then means "no hit in the scanned
     prefix" rather than a certified covering failure.
     """
-    ctx = ctx or _SchemeContext(cb.candidate)
     n = cb.n
     x_prev = cb.x_word(m_prev)
     u_prev = np.asarray(u_prev, dtype=np.int64)
@@ -258,7 +214,7 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     chunk = 512
     for lo in range(0, limit, chunk):
         hi = min(lo + chunk, limit)
-        gaps = _cover_gaps(ctx, u_prev, x_prev, cb.w_rows(m_prev, lo, hi), n)
+        gaps = _cover_gaps(cb.candidate, u_prev, x_prev, cb.w_rows(m_prev, lo, hi), n)
         hits = np.nonzero(gaps <= eps)[0]
         if hits.size:
             return lo + int(hits[0])
@@ -277,31 +233,30 @@ def channel_block(x_block: np.ndarray, y_init: int, channel: Kernel,
     return kernels.markov_path(np.asarray(x_block, dtype=np.int64), y_init, cdf, key)
 
 
-def _decode_gaps(ctx: _SchemeContext, cb: Codebook, y_prev: np.ndarray,
-                 y_cur: np.ndarray, m_prev: int,
-                 boundary_prev: int, boundary_cur: int):
-    nu, nx, nw, ny, nv = ctx.sizes
+def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
+                 m_prev: int, boundary_prev: int, boundary_cur: int):
+    candidate = cb.candidate
+    nu, nx, nw, ny, nv = candidate.sizes
     n = cb.n
     # condition 1: (y_cur, X(m)) against pi x P_X x W, all candidates
     yprev_cur = np.concatenate([[boundary_cur], y_cur[:-1]])
     base1 = yprev_cur * (nx * ny) + y_cur
     counts1 = kernels.offset_counts(cb.x_rows(0, cb.m_count), base1, ny,
                                     ny * nx * ny)
-    gaps1 = np.abs(counts1 / n - ctx.q3_flat).sum(axis=1)
+    gaps1 = np.abs(counts1 / n - candidate.decode_target1.ravel()).sum(axis=1)
     # condition 2: (y_prev, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W
     x_prev = cb.x_word(m_prev)
     yprev_prev = np.concatenate([[boundary_prev], y_prev[:-1]])
     base2 = ((yprev_prev * nx + x_prev) * nw) * ny + y_prev
     counts2 = kernels.offset_counts(cb.w_rows(m_prev, 0, cb.m_count), base2, ny,
                                     ny * nx * nw * ny)
-    gaps2 = np.abs(counts2 / n - ctx.q4_flat).sum(axis=1)
+    gaps2 = np.abs(counts2 / n - candidate.decode_target2.ravel()).sum(axis=1)
     return gaps1, gaps2
 
 
 def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
                  m_tilde_prev: int, cb: Codebook, eps: float,
-                 y_boundary_states: Tuple[int, int],
-                 ctx: Optional[_SchemeContext] = None) -> DecodeResult:
+                 y_boundary_states: Tuple[int, int]) -> DecodeResult:
     """Packing decoder for one block.
 
     Succeeds iff exactly one index satisfies both Markov-typicality
@@ -310,11 +265,10 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     connecting auxiliary word.  y_boundary_states supplies the y' values
     at t=1 of the previous and current block (threaded channel states).
     """
-    ctx = ctx or _SchemeContext(cb.candidate)
     cb.materialize_x()
     boundary_prev, boundary_cur = y_boundary_states
     gaps1, gaps2 = _decode_gaps(
-        ctx, cb, np.asarray(y_prev_block, dtype=np.int64),
+        cb, np.asarray(y_prev_block, dtype=np.int64),
         np.asarray(y_block, dtype=np.int64), m_tilde_prev,
         boundary_prev, boundary_cur)
     hits = np.nonzero((gaps1 <= eps) & (gaps2 <= eps))[0]
@@ -382,15 +336,16 @@ def run_scheme(cfg: SchemeConfig,
     `source_blocks` overrides the seeded source draw (used by the strict
     causality test).
     """
-    ctx = _SchemeContext(cfg.candidate)
-    nu, nx, nw, ny, nv = ctx.sizes
+    cand = cfg.candidate
+    nu, nx, nw, ny, nv = cand.sizes
     n, B = cfg.n, cfg.num_blocks
-    cb = Codebook(cfg.candidate, n, cfg.rate, cfg.seed)
+    cb = Codebook(cand, n, cfg.rate, cfg.seed)
     cb.materialize_x()
 
     if source_blocks is None:
+        u_cdf = make_cdf(cand.p_u.pmf)
         u_blocks = [
-            sample_from_cdf(ctx.u_cdf, uniforms(derive_key(cfg.seed, _TAG_U, b), n))
+            sample_from_cdf(u_cdf, uniforms(derive_key(cfg.seed, _TAG_U, b), n))
             for b in range(B)
         ]
     else:
@@ -407,7 +362,7 @@ def run_scheme(cfg: SchemeConfig,
     for b in range(B):
         if b > 0:
             m = encode_block(u_blocks[b - 1], int(true_m[b - 1]), cb,
-                             cfg.effective_cover_eps, cfg.scan_limit, ctx)
+                             cfg.effective_cover_eps, cfg.scan_limit)
             if m is None:
                 event_a[b - 1] = True
                 m = 0
@@ -415,14 +370,14 @@ def run_scheme(cfg: SchemeConfig,
         x_blocks.append(cb.x_word(int(true_m[b])))
         boundaries[b] = y_state
         y_blocks.append(channel_block(x_blocks[b], int(y_state),
-                                      cfg.candidate.channel,
+                                      cand.channel,
                                       derive_key(cfg.seed, _TAG_CHAN, b)))
         y_state = int(y_blocks[b][-1])
 
     event_b = np.zeros(B, dtype=bool)
     for b in range(B):
         t = triplet_type(x_blocks[b], y_blocks[b], int(boundaries[b]), nx, ny)
-        event_b[b] = float(np.abs(t.normalized - ctx.q3).sum()) > cfg.eps
+        event_b[b] = float(np.abs(t.normalized - cand.decode_target1).sum()) > cfg.eps
 
     decoded_m = np.zeros(B, dtype=np.int64)
     status: List[str] = [DecodeStatus.OK.value]
@@ -430,19 +385,20 @@ def run_scheme(cfg: SchemeConfig,
     for b in range(1, B):
         res = decode_block(y_blocks[b - 1], y_blocks[b], int(decoded_m[b - 1]),
                            cb, cfg.eps,
-                           (int(boundaries[b - 1]), int(boundaries[b])), ctx)
+                           (int(boundaries[b - 1]), int(boundaries[b])))
         decoded_m[b] = res.index if res.status is DecodeStatus.OK else 0
         status.append(res.status.value)
         event_c[b] = (res.status is not DecodeStatus.OK
                       or int(decoded_m[b]) != int(true_m[b]))
 
+    v_cdf = make_cdf(cand.p_v_given_yxw.table.reshape(ny * nx * nw, nv))
     v_blocks: List[np.ndarray] = []
     for b in range(B - 1):
         x_hat = cb.x_word(int(decoded_m[b]))
         w_hat = cb.w_word(int(decoded_m[b]), int(decoded_m[b + 1]))
         rows = (y_blocks[b] * nx + x_hat) * nw + w_hat
         us = uniforms(derive_key(cfg.seed, _TAG_V, b), n)
-        v_blocks.append(np.sum(ctx.v_cdf[rows] <= us[:, None], axis=1,
+        v_blocks.append(np.sum(v_cdf[rows] <= us[:, None], axis=1,
                                dtype=np.int64))
     v_blocks.append(np.zeros(n, dtype=np.int64))
 
@@ -457,7 +413,7 @@ def run_scheme(cfg: SchemeConfig,
                           v_blocks[B - 1], int(boundaries[B - 1]), sizes)
     type_all = FullType(coord_counts + type_last.counts, B * n)
 
-    target = ctx.target5.pmf
+    target = cand.target.pmf
     tv_coord = float(np.abs(type_coord.normalized - target).sum())
     tv_all = float(np.abs(type_all.normalized - target).sum())
     return RunResult(
@@ -476,7 +432,6 @@ def joint_packing_event(candidate: InnerCandidate, n: int, rate: float,
     indices (0, 1), and reports whether any wrong index passes both
     decoder conditions simultaneously.
     """
-    ctx = _SchemeContext(candidate)
     cb = Codebook(candidate, n, rate, seed)
     cb.materialize_x()
     if cb.m_count == 1:
@@ -486,8 +441,7 @@ def joint_packing_event(candidate: InnerCandidate, n: int, rate: float,
                            derive_key(seed, _TAG_CHAN, 0))
     y_cur = channel_block(cb.x_word(m_true), int(y_prev[-1]), candidate.channel,
                           derive_key(seed, _TAG_CHAN, 1))
-    gaps1, gaps2 = _decode_gaps(ctx, cb, y_prev, y_cur, m_prev, y0,
-                                int(y_prev[-1]))
+    gaps1, gaps2 = _decode_gaps(cb, y_prev, y_cur, m_prev, y0, int(y_prev[-1]))
     passing = (gaps1 <= eps) & (gaps2 <= eps)
     passing[m_true] = False
     wrong = int(passing.sum())

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ from .codec import (
     message_count,
     run_scheme,
 )
-from .probability import Alphabet, Dist, JointDist, Kernel, cond_mutual_info
-from .region import InnerCandidate, assemble_inner, optimize_auxiliary
+from .probability import Alphabet, AssumptionViolated, Dist, Kernel
+from .region import InnerCandidate, optimize_auxiliary
 from .rng import derive_key, make_cdf, sample_from_cdf, uniforms
 from .typicality import aep_audit, prop1_gaps
 
@@ -74,43 +75,10 @@ class ValidationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class InstanceSpec:
-    """Finite-alphabet problem instance as plain nested arrays."""
-
-    u_pmf: Tuple[float, ...]
-    x_pmf: Tuple[float, ...]
-    channel: Any          # [x][y_prev][y]
-    w_given_ux: Any       # [u][x][w]
-    v_given_yxw: Any      # [y][x][w][v]
-    y0: int = 0
-
-    def candidate(self) -> InnerCandidate:
-        w_table = np.asarray(self.w_given_ux, dtype=float)
-        return InnerCandidate(
-            p_u=Dist(np.asarray(self.u_pmf, dtype=float)),
-            p_x=Dist(np.asarray(self.x_pmf, dtype=float)),
-            p_w_given_ux=Kernel(w_table),
-            channel=Kernel(np.asarray(self.channel, dtype=float)),
-            p_v_given_yxw=Kernel(np.asarray(self.v_given_yxw, dtype=float)),
-            w_alphabet=Alphabet(w_table.shape[-1]),
-        )
-
-    def target(self) -> JointDist:
-        return assemble_inner(self.candidate()).marginal([0, 1, 3, 4, 5])
-
-    def to_dict(self) -> dict:
-        return {
-            "u_pmf": _listify(self.u_pmf), "x_pmf": _listify(self.x_pmf),
-            "channel": _listify(self.channel),
-            "w_given_ux": _listify(self.w_given_ux),
-            "v_given_yxw": _listify(self.v_given_yxw), "y0": self.y0,
-        }
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     kind: str
-    instance: InstanceSpec
+    candidate: InnerCandidate   # the instance; every row shares what it derives
+    y0: int                     # channel state before the first block
     sweep: Dict[str, List[Any]]
     trials: int
     master_seed: int
@@ -118,18 +86,20 @@ class ExperimentConfig:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        c = self.candidate
+        instance = {
+            "u_pmf": c.p_u.pmf.tolist(), "x_pmf": c.p_x.pmf.tolist(),
+            "channel": c.channel.table.tolist(),
+            "w_given_ux": c.p_w_given_ux.table.tolist(),
+            "v_given_yxw": c.p_v_given_yxw.table.tolist(), "y0": self.y0,
+        }
         return {
-            "kind": self.kind, "instance": self.instance.to_dict(),
+            "kind": self.kind, "instance": instance,
             "sweep": {k: list(v) for k, v in sorted(self.sweep.items())},
             "trials": self.trials, "master_seed": self.master_seed,
             "output_path": self.output_path,
             "options": dict(sorted(self.options.items())),
         }
-
-
-def _listify(a) -> Any:
-    arr = np.asarray(a)
-    return arr.tolist()
 
 
 def default_config(kind: str) -> dict:
@@ -157,12 +127,8 @@ def default_config(kind: str) -> dict:
     }
 
 
-def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.
-
-    `kind` from the CLI subcommand overrides/substitutes the file's kind;
-    a mismatch between the two is a validation error.
-    """
+def read_config(path: str) -> dict:
+    """Parse a JSON config file into a dict; raises ParseError with position."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -170,7 +136,80 @@ def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
         raise ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    return config_from_dict(raw, kind=kind)
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    return raw
+
+
+def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config.
+
+    `kind` from the CLI subcommand overrides/substitutes the file's kind;
+    a mismatch between the two is a validation error.
+    """
+    return config_from_dict(read_config(path), kind=kind)
+
+
+# `type(v) is int` also rejects JSON true/false, which Python counts as ints
+_POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_POSITIVE_REAL = (lambda v: type(v) in (int, float) and 0 < v < math.inf,
+                  "a finite positive number")
+
+# (accepts, description) of every top-level scalar, sweep value and option
+_CHECKS: Dict[str, Tuple[Any, str]] = {
+    "trials": _POSITIVE_INT,
+    "master_seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    "output_path": (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+    "n": _POSITIVE_INT,
+    "num_blocks": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "rate": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+             "a finite nonnegative number"),
+    "eps": _POSITIVE_REAL,
+    "w_size": _POSITIVE_INT,
+    "cover_eps": (lambda v: v is None or _POSITIVE_REAL[0](v), "null or " + _POSITIVE_REAL[1]),
+    "scan_limit": (lambda v: v is None or _POSITIVE_INT[0](v), "null or " + _POSITIVE_INT[1]),
+    "optimizer_budget": _POSITIVE_INT,
+    "optimizer_starts": _POSITIVE_INT,
+    "optimize": (lambda v: isinstance(v, bool), "true or false"),
+    "audit_max_pairs": _POSITIVE_INT,
+    "audit_sample_size": _POSITIVE_INT,
+}
+
+
+def _valid(field: str, key: str, value: Any, problems: List[str]) -> bool:
+    accepts, description = _CHECKS[key]
+    if not accepts(value):
+        problems.append(f"{field}: must be {description}, got {value!r}")
+    return accepts(value)
+
+
+def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate]:
+    """The instance's InnerCandidate, or None with every fault in `problems`."""
+    parts = {}
+    for fname, build in [("u_pmf", Dist), ("x_pmf", Dist), ("channel", Kernel),
+                         ("w_given_ux", Kernel), ("v_given_yxw", Kernel)]:
+        if fname not in inst:
+            problems.append(f"instance.{fname}: missing")
+            continue
+        try:
+            parts[fname] = build(np.asarray(inst[fname], dtype=float))
+        except (ValueError, TypeError) as e:
+            problems.append(f"instance.{fname}: {e}")
+    if len(parts) < 5:
+        return None
+    try:
+        candidate = InnerCandidate(
+            p_u=parts["u_pmf"], p_x=parts["x_pmf"], p_w_given_ux=parts["w_given_ux"],
+            channel=parts["channel"], p_v_given_yxw=parts["v_given_yxw"],
+            w_alphabet=Alphabet(parts["w_given_ux"].output_size))
+    except (ValueError, AssumptionViolated) as e:
+        problems.append(f"instance: {e}")
+        return None
+    ny, y0 = candidate.channel.output_size, inst.get("y0", 0)
+    if not (type(y0) is int and 0 <= y0 < ny):
+        problems.append(f"instance.y0: must be a state index in [0, {ny}), got {y0!r}")
+        return None
+    return candidate
 
 
 def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
@@ -183,37 +222,12 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
         problems.append(f"kind: must be one of {KINDS}, got {eff_kind!r}")
         raise ValidationError(problems)
 
-    inst_raw = raw.get("instance")
-    if not isinstance(inst_raw, dict):
-        problems.append("instance: missing or not an object")
-        raise ValidationError(problems)
-    instance = None
-    try:
-        instance = InstanceSpec(
-            u_pmf=tuple(inst_raw["u_pmf"]), x_pmf=tuple(inst_raw["x_pmf"]),
-            channel=inst_raw["channel"], w_given_ux=inst_raw["w_given_ux"],
-            v_given_yxw=inst_raw["v_given_yxw"],
-            y0=int(inst_raw.get("y0", 0)),
-        )
-    except KeyError as e:
-        problems.append(f"instance.{e.args[0]}: missing")
-    if instance is not None:
-        for fname, builder in [
-            ("u_pmf", lambda: Dist(np.asarray(instance.u_pmf, dtype=float))),
-            ("x_pmf", lambda: Dist(np.asarray(instance.x_pmf, dtype=float))),
-            ("channel", lambda: Kernel(np.asarray(instance.channel, dtype=float))),
-            ("w_given_ux", lambda: Kernel(np.asarray(instance.w_given_ux, dtype=float))),
-            ("v_given_yxw", lambda: Kernel(np.asarray(instance.v_given_yxw, dtype=float))),
-        ]:
-            try:
-                builder()
-            except (ValueError, TypeError) as e:
-                problems.append(f"instance.{fname}: {e}")
-        if not problems:
-            try:
-                instance.candidate()
-            except Exception as e:
-                problems.append(f"instance: {e}")
+    not_objects = [k for k in ("instance", "sweep", "options")
+                   if not isinstance(raw.get(k, {}), dict)]
+    if not_objects:
+        raise ValidationError(problems + [f"{k}: must be an object" for k in not_objects])
+    inst_raw = raw.get("instance", {})
+    candidate = _build_candidate(inst_raw, problems)
 
     sweep_raw = raw.get("sweep", {})
     sweep: Dict[str, List[Any]] = {}
@@ -221,35 +235,31 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
         values = sweep_raw.get(key)
         if values is None and key in DEFAULTS["sweep_defaults"]:
             values = list(DEFAULTS["sweep_defaults"][key])
-        if not values:
-            problems.append(f"sweep.{key}: missing or empty")
-        else:
+        if not values or not isinstance(values, list):
+            problems.append(f"sweep.{key}: missing, empty or not a list")
+        elif all([_valid(f"sweep.{key}", key, v, problems) for v in values]):
             sweep[key] = list(values)
     for key in sweep_raw:
         if key not in _SWEEP_KEYS[eff_kind]:
             problems.append(f"sweep.{key}: not a sweep parameter of kind {eff_kind!r}")
 
-    trials = raw.get("trials", DEFAULTS["trials"])
-    if not isinstance(trials, int) or trials < 1:
-        problems.append(f"trials: must be a positive integer, got {trials!r}")
-    master_seed = raw.get("master_seed", DEFAULTS["master_seed"])
-    if not isinstance(master_seed, int) or master_seed < 0:
-        problems.append(f"master_seed: must be a nonnegative integer, got {master_seed!r}")
+    scalars = {key: raw.get(key, DEFAULTS[key])
+               for key in ("trials", "master_seed", "output_path")}
+    for key, value in scalars.items():
+        _valid(key, key, value, problems)
 
     options = dict(DEFAULTS["options"])
     for k, v in raw.get("options", {}).items():
         if k not in options:
             problems.append(f"options.{k}: unknown option")
-        else:
+        elif _valid(f"options.{k}", k, v, problems):
             options[k] = v
 
     if problems:
         raise ValidationError(problems)
     return ExperimentConfig(
-        kind=eff_kind, instance=instance, sweep=sweep, trials=trials,
-        master_seed=master_seed,
-        output_path=raw.get("output_path", DEFAULTS["output_path"]),
-        options=options,
+        kind=eff_kind, candidate=candidate, y0=inst_raw.get("y0", 0), sweep=sweep,
+        options=options, **scalars,
     )
 
 
@@ -302,14 +312,13 @@ def _sweep_points(sweep: Dict[str, List[Any]]):
 def run_experiment(cfg: ExperimentConfig) -> RecordSet:
     """Execute all sweep points x trials; failures become error rows."""
     runner = _RUNNERS[cfg.kind]
-    shared = _SharedInstance(cfg)
     rows: List[Dict[str, Any]] = []
     for point in _sweep_points(cfg.sweep):
         for trial in range(cfg.trials):
             seed = point_seed(cfg.master_seed, point, trial)
             params = dict(point, trial=trial, seed=seed)
             try:
-                metrics = runner(cfg, shared, point, trial, seed)
+                metrics = runner(cfg, point, seed)
                 rows.append({"params": params, "metrics": metrics, "error": ""})
             except Exception as e:  # error rows never abort the sweep
                 rows.append({"params": params, "metrics": {}, "error": f"{type(e).__name__}: {e}"})
@@ -323,27 +332,16 @@ def run_experiment(cfg: ExperimentConfig) -> RecordSet:
     return RecordSet(rows=rows, metadata=metadata)
 
 
-class _SharedInstance:
-    """Instance objects cached across rows of one experiment."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.candidate = cfg.instance.candidate()
-        self.y0 = cfg.instance.y0
-        joint = assemble_inner(self.candidate)
-        self.target = joint.marginal([0, 1, 3, 4, 5])
-        self.i_channel = cond_mutual_info(joint.marginal([1, 4, 3]))
-        self.i_auxiliary = cond_mutual_info(joint.marginal([0, 2, 1]))
-
-
-def _run_region(cfg, shared, point, trial, seed):
+def _run_region(cfg, point, seed):
+    cand = cfg.candidate
     metrics = {
-        "i_channel": shared.i_channel,
-        "i_auxiliary": shared.i_auxiliary,
-        "candidate_slack": shared.i_channel - shared.i_auxiliary,
+        "i_channel": cand.i_channel,
+        "i_auxiliary": cand.i_auxiliary,
+        "candidate_slack": cand.i_channel - cand.i_auxiliary,
     }
-    if cfg.options.get("optimize", True):
+    if cfg.options["optimize"]:
         _, report = optimize_auxiliary(
-            shared.target, w_size=int(point["w_size"]),
+            cand.target, w_size=int(point["w_size"]),
             budget=int(cfg.options["optimizer_budget"]),
             seed=seed, starts=int(cfg.options["optimizer_starts"]))
         metrics.update(
@@ -352,12 +350,12 @@ def _run_region(cfg, shared, point, trial, seed):
     return metrics
 
 
-def _run_simulate(cfg, shared, point, trial, seed):
+def _run_simulate(cfg, point, seed):
     scfg = SchemeConfig(
-        candidate=shared.candidate, n=int(point["n"]),
+        candidate=cfg.candidate, n=int(point["n"]),
         num_blocks=int(point["num_blocks"]), rate=float(point["rate"]),
-        eps=float(point["eps"]), cover_eps=cfg.options.get("cover_eps"),
-        y0=shared.y0, seed=seed, scan_limit=cfg.options.get("scan_limit"))
+        eps=float(point["eps"]), cover_eps=cfg.options["cover_eps"],
+        y0=cfg.y0, seed=seed, scan_limit=cfg.options["scan_limit"])
     r = run_scheme(scfg)
     b = r.num_blocks
     return {
@@ -371,13 +369,13 @@ def _run_simulate(cfg, shared, point, trial, seed):
     }
 
 
-def _run_typicality_audit(cfg, shared, point, trial, seed):
-    cand = shared.candidate
+def _run_typicality_audit(cfg, point, seed):
+    cand, y0 = cfg.candidate, cfg.y0
     n, eps = int(point["n"]), float(point["eps"])
     x_cdf = make_cdf(cand.p_x.pmf)
     x_seq = sample_from_cdf(x_cdf, uniforms(derive_key(seed, 0), n))
-    y_seq = channel_block(x_seq, shared.y0, cand.channel, derive_key(seed, 1))
-    gaps = prop1_gaps(x_seq, y_seq, shared.y0, cand.p_x, cand.channel)
+    y_seq = channel_block(x_seq, y0, cand.channel, derive_key(seed, 1))
+    gaps = prop1_gaps(x_seq, y_seq, y0, cand.p_x, cand.channel)
     joint_typical = gaps["joint"] <= eps
     slop = 1e-9  # independent rounding of the separate gap summations
     projections_ok = (not joint_typical) or (
@@ -391,11 +389,11 @@ def _run_typicality_audit(cfg, shared, point, trial, seed):
     }
 
 
-def _run_aep_audit(cfg, shared, point, trial, seed):
-    cand = shared.candidate
+def _run_aep_audit(cfg, point, seed):
+    cand = cfg.candidate
     report = aep_audit(
         int(point["n"]), float(point["eps"]), cand.p_x, cand.channel,
-        y0=shared.y0, max_pairs=int(cfg.options["audit_max_pairs"]),
+        y0=cfg.y0, max_pairs=int(cfg.options["audit_max_pairs"]),
         sample_size=int(cfg.options["audit_sample_size"]), seed=seed)
     d = report.to_dict()
     d["exact"] = int(d.pop("mode") == "exact")
@@ -408,14 +406,14 @@ def _run_aep_audit(cfg, shared, point, trial, seed):
     return d
 
 
-def _run_packing_probe(cfg, shared, point, trial, seed):
+def _run_packing_probe(cfg, point, seed):
     out = joint_packing_event(
-        shared.candidate, int(point["n"]), float(point["rate"]),
-        float(point["eps"]), shared.y0, seed)
+        cfg.candidate, int(point["n"]), float(point["rate"]),
+        float(point["eps"]), cfg.y0, seed)
     return {
         "event": int(out["event"]), "m_count": out["m_count"],
         "wrong_candidates": out["wrong_candidates"],
-        "i_channel_threshold": shared.i_channel,
+        "i_channel_threshold": cfg.candidate.i_channel,
     }
 
 
@@ -453,7 +451,8 @@ def emit_report(rs: RecordSet, outdir: str) -> Dict[str, str]:
 
     records.csv holds one row per (sweep point, trial) with a fixed
     header; long.csv is the plot-ready long format (one metric per row);
-    summary.json aggregates each metric per sweep point.  Apart from the
+    summary.json aggregates each metric per sweep point and is strict
+    JSON: a non-finite aggregate is written as null.  Apart from the
     timestamp inside summary.json, emission is byte-deterministic.
     """
     os.makedirs(outdir, exist_ok=True)
@@ -501,13 +500,13 @@ def emit_report(rs: RecordSet, outdir: str) -> Dict[str, str]:
             values = [r["metrics"][m] for r in rows if m in r["metrics"]]
             if values and all(isinstance(v, (int, float)) for v in values):
                 arr = np.asarray(values, dtype=float)
-                agg["metrics"][m] = {
-                    "mean": float(arr.mean()), "median": float(np.median(arr)),
-                    "q10": float(np.quantile(arr, 0.1)),
-                    "q90": float(np.quantile(arr, 0.9)),
-                }
+                stats = {"mean": arr.mean(), "median": np.median(arr),
+                         "q10": np.quantile(arr, 0.1), "q90": np.quantile(arr, 0.9)}
+                agg["metrics"][m] = {k: float(v) if np.isfinite(v) else None
+                                     for k, v in stats.items()}
         summary["points"].append(agg)
     with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=_fmt,
+                  allow_nan=False)
         fh.write("\n")
     return paths

@@ -21,7 +21,6 @@ import numpy as np
 PROB_TOL = 1e-9          # validity tolerance for pmfs and kernel rows
 STATIONARY_TOL = 1e-12   # required ||pi T - pi||_1 of a returned equilibrium
 NEG_INFO_TOL = 1e-9      # information quantities below -NEG_INFO_TOL are errors
-MAX_POWER_ITER = 10 ** 6
 
 
 class AssumptionViolated(RuntimeError):
@@ -29,7 +28,7 @@ class AssumptionViolated(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap before reaching tolerance."""
+    """A computed equilibrium misses its stationarity tolerance."""
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -123,9 +122,6 @@ class Kernel:
     @property
     def output_size(self) -> int:
         return self.table.shape[-1]
-
-    def row(self, *idx: int) -> np.ndarray:
-        return self.table[idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,12 +365,14 @@ def chain_structure(t: TransitionMatrix) -> ChainStructure:
 
 
 def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
-    """Equilibrium pmf pi with ||pi T - pi||_1 <= tol, by power iteration
-    from uniform.
+    """Equilibrium pmf pi with ||pi T - pi||_1 <= tol.
 
+    pi is zero off the recurrent class R; on R it solves pi T_RR = pi,
+    sum(pi) = 1 directly, with the normalization replacing one balance
+    equation (Stewart 1994, Numerical Solution of Markov Chains).
     Raises AssumptionViolated unless the chain is unichain with an
-    aperiodic recurrent class, and ConvergenceError if the iteration cap
-    is reached first.
+    aperiodic recurrent class, and ConvergenceError if the solution misses
+    the tolerance.
     """
     structure = chain_structure(t)
     if not (structure.is_unichain and structure.is_aperiodic):
@@ -383,22 +381,18 @@ def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
             f"aperiodic={structure.is_aperiodic}"
         )
     m = t.entries
-    pi = np.full(t.size, 1.0 / t.size)
-    for _ in range(MAX_POWER_ITER):
-        nxt = pi @ m
-        if np.abs(nxt - pi).sum() <= 0.1 * tol:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        raise ConvergenceError(f"no convergence within {MAX_POWER_ITER} iterations")
-    # confine residual mass to the recurrent class and renormalize
-    mask = np.zeros(t.size, dtype=bool)
-    mask[list(structure.recurrent_set)] = True
-    pi = np.where(mask, pi, 0.0)
+    rec = sorted(structure.recurrent_set)
+    # (T - I)^T on R, the diagonal taken from the off-diagonal sums so that
+    # slow chains (T_ii near 1) keep their small rates exactly
+    q = m[np.ix_(rec, rec)].T.copy()
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=0))
+    q[-1] = 1.0
+    pi = np.zeros(t.size)
+    pi[rec] = np.clip(np.linalg.solve(q, np.eye(len(rec))[-1]), 0.0, None)
     pi = pi / pi.sum()
     if np.abs(pi @ m - pi).sum() > tol:
-        raise ConvergenceError("projected equilibrium misses tolerance")
+        raise ConvergenceError("equilibrium misses tolerance")
     return Dist(pi, t.state_alphabet)
 
 

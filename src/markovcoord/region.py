@@ -10,12 +10,15 @@ subject to the information constraint I(X;Y|Y') - I(U;W|X) >= 0.  The
 outer bound keeps the same constraint over a looser factorization in
 which Y' may depend on X and W may additionally see (Y, Y').
 
-Assembled joints are ordered (U, X, W, Y', Y, V) throughout.
+Assembled joints are ordered (U, X, W, Y', Y, V) and targets
+(U, X, Y', Y, V) throughout; code that picks coordinates out of them uses
+the axis names below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -26,6 +29,7 @@ from .probability import (
     Dist,
     JointDist,
     Kernel,
+    _frozen,
     chain_structure,
     cond_mutual_info,
     induced_transition,
@@ -37,6 +41,11 @@ from .probability import (
 FEASIBILITY_TOL = 1e-9   # slack >= -FEASIBILITY_TOL counts as feasible
 MARGINAL_GAP_TOL = 1e-6  # optimizer's matching requirement on the 5-tuple marginal
 TARGET_TOL = 1e-6        # structural validation tolerance for targets
+
+AX_U, AX_X, AX_W, AX_YP, AX_Y, AX_V = range(6)   # axes of an assembled joint
+TARGET_AXES = (AX_U, AX_X, AX_YP, AX_Y, AX_V)
+AUXILIARY_AXES = (AX_U, AX_W, AX_X)   # I(U; W | X)
+CHANNEL_AXES = (AX_X, AX_Y, AX_YP)    # I(X; Y | Y')
 
 _STEP_GRID = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 _GAP_PENALTY = 1e6
@@ -64,7 +73,6 @@ class InnerCandidate:
     def __post_init__(self):
         nu, nx, nw = self.p_u.size, self.p_x.size, self.w_alphabet.size
         ny = self.channel.output_size
-        nv = self.p_v_given_yxw.output_size
         if self.p_w_given_ux.input_sizes != (nu, nx) or self.p_w_given_ux.output_size != nw:
             raise ValueError("p_w_given_ux shape inconsistent with (U, X, W)")
         if self.channel.input_sizes != (nx, ny):
@@ -74,12 +82,67 @@ class InnerCandidate:
         structure = chain_structure(induced_transition(self.p_x, self.channel))
         if not (structure.is_unichain and structure.is_aperiodic):
             raise AssumptionViolated("induced output chain is not unichain-aperiodic")
-        del nv
 
     @property
     def sizes(self) -> Tuple[int, int, int, int, int]:
         return (self.p_u.size, self.p_x.size, self.w_alphabet.size,
                 self.channel.output_size, self.p_v_given_yxw.output_size)
+
+    # Everything below is derived once per candidate and cached.
+
+    @cached_property
+    def joint(self) -> JointDist:
+        """The assembled joint over (U, X, W, Y', Y, V)."""
+        return assemble_inner(self)
+
+    @cached_property
+    def target(self) -> JointDist:
+        """The (U, X, Y', Y, V) marginal the candidate induces."""
+        return self.joint.marginal(TARGET_AXES)
+
+    @cached_property
+    def i_auxiliary(self) -> float:
+        """I(U; W | X), the lower end of the scheme's rate window."""
+        return cond_mutual_info(self.joint.marginal(AUXILIARY_AXES))
+
+    @cached_property
+    def i_channel(self) -> float:
+        """I(X; Y | Y'), the upper end of the scheme's rate window."""
+        return cond_mutual_info(self.joint.marginal(CHANNEL_AXES))
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """The Y' marginal of the joint: the equilibrium of the output chain."""
+        return self.joint.marginal([AX_YP]).pmf
+
+    @cached_property
+    def p_w_given_x(self) -> np.ndarray:
+        """Table [x, w] of P(w | x) = sum_u P(u) P(w | u, x)."""
+        return _frozen(np.einsum("u,uxw->xw", self.p_u.pmf, self.p_w_given_ux.table))
+
+    @cached_property
+    def cover_target(self) -> np.ndarray:
+        """Covering target over (u, x, w): P(u) P(x) P(w | u, x)."""
+        return _frozen(np.einsum("u,x,uxw->uxw", self.p_u.pmf, self.p_x.pmf,
+                                 self.p_w_given_ux.table))
+
+    @cached_property
+    def decode_target1(self) -> np.ndarray:
+        """Decoder condition 1 target over (y', x, y): pi(y') P(x) W(y | x, y')."""
+        return _frozen(np.einsum("i,x,xiy->ixy", self.pi, self.p_x.pmf,
+                                 self.channel.table))
+
+    @cached_property
+    def decode_target2(self) -> np.ndarray:
+        """Decoder condition 2 target over (y', x, w, y):
+        pi(y') P(x) P(w | x) W(y | x, y')."""
+        return _frozen(np.einsum("i,x,xw,xiy->ixwy", self.pi, self.p_x.pmf,
+                                 self.p_w_given_x, self.channel.table))
+
+
+def _on_target(axes: Tuple[int, ...]) -> List[int]:
+    """Positions of joint axes within a (U, X, Y', Y, V) target."""
+    return [TARGET_AXES.index(a) for a in axes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +209,10 @@ def assemble_outer(c: OuterCandidate) -> JointDist:
 def _feasibility(joint: JointDist, target: JointDist) -> FeasibilityReport:
     if target.arity != 5:
         raise ValueError("target must be a 5-coordinate joint (U, X, Y', Y, V)")
-    i_channel = cond_mutual_info(joint.marginal([1, 4, 3]))   # (X, Y, Y')
-    i_aux = cond_mutual_info(joint.marginal([0, 2, 1]))       # (U, W, X)
+    i_channel = cond_mutual_info(joint.marginal(CHANNEL_AXES))
+    i_aux = cond_mutual_info(joint.marginal(AUXILIARY_AXES))
     slack = i_channel - i_aux
-    gap = tv_distance(joint.marginal([0, 1, 3, 4, 5]), target)
+    gap = tv_distance(joint.marginal(TARGET_AXES), target)
     return FeasibilityReport(
         slack=slack, feasible=bool(slack >= -FEASIBILITY_TOL),
         marginal_gap=gap, i_channel=i_channel, i_auxiliary=i_aux,
@@ -158,7 +221,7 @@ def _feasibility(joint: JointDist, target: JointDist) -> FeasibilityReport:
 
 def inner_feasibility(c: InnerCandidate, target: JointDist) -> FeasibilityReport:
     """Evaluate the information constraint and marginal match of an inner candidate."""
-    return _feasibility(assemble_inner(c), target)
+    return _feasibility(c.joint, target)
 
 
 def outer_feasibility(c: OuterCandidate, target: JointDist) -> FeasibilityReport:
@@ -169,10 +232,9 @@ def outer_feasibility(c: OuterCandidate, target: JointDist) -> FeasibilityReport
 def embed_inner(c: InnerCandidate) -> OuterCandidate:
     """Outer candidate equivalent to an inner one: Y' drawn from the
     equilibrium independently of X, W blind to (Y, Y')."""
-    pi = stationary_dist(induced_transition(c.p_x, c.channel))
     nx = c.p_x.size
     ny = c.channel.output_size
-    p_yx = Kernel(np.tile(pi.pmf, (nx, 1)))
+    p_yx = Kernel(np.tile(c.pi, (nx, 1)))
     pw = np.broadcast_to(
         c.p_w_given_ux.table[:, :, None, None, :],
         (c.p_u.size, nx, ny, ny, c.w_alphabet.size),
@@ -243,7 +305,7 @@ def validate_target(target: JointDist, tol: float = TARGET_TOL) -> TargetDecompo
     if target.arity != 5:
         raise ValueError("target must have coordinates (U, X, Y', Y, V)")
     p_u = Dist(target.pmf.sum(axis=(1, 2, 3, 4)))
-    p_xyy = target.marginal([1, 2, 3]).pmf
+    p_xyy = target.marginal(_on_target((AX_X, AX_YP, AX_Y))).pmf
     p_x, pi, channel, details = _decompose_channel_marginal(p_xyy, tol)
     if details:
         raise InconsistentTarget(
@@ -438,7 +500,7 @@ def optimize_auxiliary(target: JointDist, w_size: Optional[int] = None,
     if w_size < 1:
         raise ValueError("w_size must be >= 1")
     decomp = validate_target(target)
-    i_channel = cond_mutual_info(target.marginal([1, 3, 2]))  # (X, Y, Y')
+    i_channel = cond_mutual_info(target.marginal(_on_target(CHANNEL_AXES)))
     nv = target.pmf.shape[4]
 
     best = None  # (score, slack, gap, start_rank, pw, pv) with pw padded to w_size

@@ -85,11 +85,3 @@ def sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling: symbol = #{k : cdf[k] <= u}."""
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
-
-def sample_rows(cdf_rows: np.ndarray, row_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling with a per-draw conditioning row.
-
-    cdf_rows has shape (rows, k); row_idx and u are broadcast-compatible
-    index/uniform arrays.
-    """
-    return np.sum(cdf_rows[row_idx] <= u[..., None], axis=-1, dtype=np.int64)

@@ -16,7 +16,6 @@ from markovcoord import kernels
 from markovcoord.codec import (
     Codebook,
     SchemeConfig,
-    _SchemeContext,
     channel_block,
     encode_block,
     joint_packing_event,
@@ -65,12 +64,6 @@ def _report(num, name, ok, detail):
 def _blessed():
     return make_flip_candidate(BLESSED["p0"], BLESSED["p1"], BLESSED["a0"],
                                BLESSED["a1"], BLESSED["vmix"])
-
-
-def _info_bounds(cand):
-    joint = assemble_inner(cand)
-    return (cond_mutual_info(joint.marginal([0, 2, 1])),
-            cond_mutual_info(joint.marginal([1, 4, 3])))
 
 
 def _random_instances(count, seed):
@@ -244,18 +237,16 @@ def test_criterion_06_region_oracle_equivalence():
 
 def test_criterion_07_covering_regime():
     cand = _blessed()
-    i_aux, _ = _info_bounds(cand)
     n = 300
-    rate = i_aux + 0.15
-    ctx = _SchemeContext(cand)
+    rate = cand.i_auxiliary + 0.15
+    u_cdf = make_cdf(cand.p_u.pmf)
     fails = total = 0
     for seed in range(20):
         cb = Codebook(cand, n, rate, seed=derive_key(707, seed))
         m_prev = 0
         for b in range(200):
-            u = sample_from_cdf(ctx.u_cdf,
-                                uniforms(derive_key(708, seed, b), n))
-            m = encode_block(u, m_prev, cb, BLESSED["eps_cover"], None, ctx)
+            u = sample_from_cdf(u_cdf, uniforms(derive_key(708, seed, b), n))
+            m = encode_block(u, m_prev, cb, BLESSED["eps_cover"])
             total += 1
             if m is None:
                 fails += 1
@@ -272,9 +263,8 @@ def test_criterion_08_packing_regime():
     # R sits 0.15 below I(X;Y|Y'), which for this instance is also below
     # I(U;W|X); at n = 300 the nine-word codebook still covers reliably
     cand = _blessed()
-    _, i_chan = _info_bounds(cand)
     n = 300
-    rate = i_chan - 0.15
+    rate = cand.i_channel - 0.15
     wrong = blocks = 0
     for seed in range(20):
         cfg = SchemeConfig(candidate=cand, n=n, num_blocks=201, rate=rate,
@@ -301,8 +291,7 @@ def test_criterion_08_packing_regime():
 
 def test_criterion_09_end_to_end_coordination():
     cand = _blessed()
-    i_aux, i_chan = _info_bounds(cand)
-    slack = i_chan - i_aux
+    slack = cand.i_channel - cand.i_auxiliary
     assert slack >= 0.1
     rate = BLESSED["rate_mid"]
     medians = {}

@@ -118,9 +118,8 @@ def test_encode_block_returns_smallest_index(cand):
     u = rng.integers(0, 2, 300)
     m = encode_block(u, 0, cb, eps=0.3)
     assert m is not None
-    from markovcoord.codec import _SchemeContext, _cover_gaps
-    ctx = _SchemeContext(cand)
-    gaps = _cover_gaps(ctx, u, cb.x_word(0), cb.w_rows(0, 0, cb.m_count), 300)
+    from markovcoord.codec import _cover_gaps
+    gaps = _cover_gaps(cand, u, cb.x_word(0), cb.w_rows(0, 0, cb.m_count), 300)
     assert gaps[m] <= 0.3
     assert (gaps[:m] > 0.3).all()
 

@@ -84,6 +84,39 @@ def test_validation_error_on_kind_and_sweep():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("kind,path,value", [
+    ("simulate", ("trials",), True),
+    ("simulate", ("options",), []),
+    ("simulate", ("sweep",), [80]),
+    ("simulate", ("master_seed",), True),
+    ("simulate", ("instance", "y0"), 2),
+    ("simulate", ("options", "scan_limit"), 0),
+    ("simulate", ("options", "cover_eps"), "x"),
+    ("simulate", ("sweep", "n"), [0]),
+    ("simulate", ("sweep", "n"), ["abc"]),
+    ("simulate", ("sweep", "eps"), [-0.1]),
+    ("simulate", ("sweep", "num_blocks"), [1]),
+    ("region", ("sweep", "w_size"), [0]),
+    ("region", ("options", "optimizer_budget"), 0),
+    ("region", ("options", "optimizer_starts"), 2.5),
+    ("region", ("options", "optimize"), "yes"),
+    ("aep-audit", ("options", "audit_max_pairs"), -1),
+    ("aep-audit", ("options", "audit_sample_size"), "10"),
+])
+def test_validation_error_names_bad_value(kind, path, value):
+    # bad values fail at load, naming the field, instead of becoming error rows
+    sweeps = {"region": {"w_size": [2]}, "aep-audit": {"n": [6], "eps": [0.8]}}
+    raw = _simulate_raw() if kind == "simulate" else dict(
+        default_config(kind), sweep=sweeps[kind])
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(raw)
+    assert len(exc.value.fields) == 1 and path[-1] in exc.value.fields[0]
+
+
 def test_config_hash_stable_under_reordering():
     raw = _simulate_raw()
     cfg1 = config_from_dict(raw)
@@ -108,6 +141,18 @@ def test_run_experiment_single_row_and_determinism():
     rs2 = run_experiment(cfg)
     assert rs1.rows == rs2.rows
     assert rs1.metadata["config_hash"] == rs2.metadata["config_hash"]
+
+
+def test_run_experiment_assembles_the_instance_once(monkeypatch):
+    from markovcoord import region
+
+    cfg = config_from_dict(_simulate_raw(trials=3))
+    calls = []
+    original = region.assemble_inner
+    monkeypatch.setattr(region, "assemble_inner",
+                        lambda c: calls.append(c) or original(c))
+    assert len(run_experiment(cfg).rows) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("ignore:rate")
@@ -162,6 +207,24 @@ def test_aep_audit_kind_runs():
     assert not rs.has_errors
     m = rs.rows[0]["metrics"]
     assert m["exact"] == 1 and m["all_pass"] == 1
+
+
+def test_summary_json_is_strict(tmp_path):
+    # a sampled audit has a NaN metric; summary.json writes it as null
+    raw = default_config("aep-audit")
+    raw["sweep"] = {"n": [6], "eps": [0.8]}
+    raw["options"].update(audit_max_pairs=100, audit_sample_size=300)
+    rs = run_experiment(config_from_dict(raw))
+    assert np.isnan(rs.rows[0]["metrics"]["prob_mass_checked"])
+    paths = emit_report(rs, str(tmp_path))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(paths["summary"]) as fh:
+        summary = json.load(fh, parse_constant=reject)
+    stats = summary["points"][0]["metrics"]["prob_mass_checked"]
+    assert set(stats.values()) == {None}
 
 
 def test_packing_probe_single_codeword_never_fires():
@@ -266,6 +329,18 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # kind mismatch between file and subcommand -> 2
     assert cli_main(["region", "--config", str(good)]) == 2
+
+    # bad values from the command line or the file -> 2, naming the field
+    for argv, field in [(["--trials", "0"], "trials"),
+                        (["--trials", "-3", "--seed", "-5"], "master_seed")]:
+        assert cli_main(["simulate", "--config", str(good),
+                         "--out", str(tmp_path / "o"), *argv]) == 2
+        assert field in capsys.readouterr().err
+    bad_value = tmp_path / "bad_value.json"
+    bad_value.write_text(json.dumps(dict(raw, options={"scan_limit": 0})))
+    assert cli_main(["simulate", "--config", str(bad_value)]) == 2
+    assert "scan_limit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
     # an error row -> 1
     raw_err = _simulate_raw(trials=1)

@@ -189,6 +189,11 @@ def test_stationary_examples():
     t = TransitionMatrix(np.tile(p, (3, 1)))
     assert np.allclose(stationary_dist(t).pmf, p, atol=1e-12)
 
+    # valid but slowly mixing (spectral gap 3e-6): the equilibrium is exact
+    a = 1e-6
+    t = TransitionMatrix(np.array([[1 - a, a], [2 * a, 1 - 2 * a]]))
+    assert np.allclose(stationary_dist(t).pmf, [2 / 3, 1 / 3], atol=1e-12)
+
 
 def test_stationary_requires_assumption():
     with pytest.raises(AssumptionViolated):
