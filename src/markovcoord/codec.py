@@ -88,6 +88,8 @@ class SchemeConfig:
             raise ValueError("eps must be positive")
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
+        if self.scan_limit is not None and self.scan_limit < 1:
+            raise ValueError("scan_limit must be >= 1")
         ny = self.candidate.channel.output_size
         if not 0 <= self.y0 < ny:
             raise ValueError("y0 outside the state alphabet")
@@ -201,16 +203,21 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     """Covering search: smallest index m whose auxiliary word is jointly
     iid-typical with (u_prev, X^n(m_prev)) within eps; None on failure.
 
-    When 2^{nR} exceeds the scan limit only the first `scan_limit`
-    candidates are examined, so None then means "no hit in the scanned
-    prefix" rather than a certified covering failure.
+    When 2^{nR} exceeds the scan limit (DEFAULT_SCAN_LIMIT when None)
+    only the first `scan_limit` candidates are examined, so None then
+    means "no hit in the scanned prefix" rather than a certified covering
+    failure.
     """
+    if scan_limit is None:
+        scan_limit = DEFAULT_SCAN_LIMIT
+    elif scan_limit < 1:
+        raise ValueError("scan_limit must be >= 1")
     n = cb.n
     x_prev = cb.x_word(m_prev)
     u_prev = np.asarray(u_prev, dtype=np.int64)
     if u_prev.size != n:
         raise ValueError("source block length does not match n")
-    limit = min(cb.m_count, scan_limit or DEFAULT_SCAN_LIMIT)
+    limit = min(cb.m_count, scan_limit)
     chunk = 512
     for lo in range(0, limit, chunk):
         hi = min(lo + chunk, limit)
@@ -228,9 +235,7 @@ def channel_block(x_block: np.ndarray, y_init: int, channel: Kernel,
     The caller threads y_init = last output of the previous block, which
     preserves the cross-block memory of the channel.
     """
-    nx, ny = channel.input_sizes[0], channel.output_size
-    cdf = make_cdf(channel.table.reshape(nx * ny, ny))
-    return kernels.markov_path(np.asarray(x_block, dtype=np.int64), y_init, cdf, key)
+    return kernels.markov_path(x_block, y_init, channel.cdf, key)
 
 
 def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
@@ -391,7 +396,7 @@ def run_scheme(cfg: SchemeConfig,
         event_c[b] = (res.status is not DecodeStatus.OK
                       or int(decoded_m[b]) != int(true_m[b]))
 
-    v_cdf = make_cdf(cand.p_v_given_yxw.table.reshape(ny * nx * nw, nv))
+    v_cdf = cand.p_v_given_yxw.cdf
     v_blocks: List[np.ndarray] = []
     for b in range(B - 1):
         x_hat = cb.x_word(int(decoded_m[b]))

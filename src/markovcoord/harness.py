@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .codec import (
     SchemeConfig,
     channel_block,
@@ -326,7 +326,6 @@ def run_experiment(cfg: ExperimentConfig) -> RecordSet:
         "kind": cfg.kind,
         "config_hash": config_hash(cfg),
         "version": __version__,
-        "backend": kernels.backend_name(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     return RecordSet(rows=rows, metadata=metadata)

@@ -1,103 +1,79 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels, all in numpy.
 
-The backend is selected once at import from the environment variable
-``MARKOVCOORD_BACKEND`` (``auto`` | ``numba`` | ``numpy``; default
-``auto`` uses numba when it imports) and can be switched at runtime with
-:func:`set_backend`.  Kernels return integer count tables or symbol
-arrays that are bit-identical across backends; floating-point reductions
-over many sequence pairs (``aep_enumerate`` probabilities) may differ at
-machine precision because the two paths accumulate in different orders.
+Hot paths covered here: Markov channel sampling, keyed codeword
+generation, count tables for codeword scans, and exhaustive sequence-pair
+enumeration for the AEP audit.  Everything else in the package is cheap
+enough to write inline.
 
-Hot paths covered here: sequential Markov channel sampling, keyed
-codeword generation, count tables for codeword scans, and exhaustive
-sequence-pair enumeration for the AEP audit.  Everything else in the
-package is cheap enough for plain numpy.
+Channel sampling is a prefix composition.  With the uniform u_t drawn,
+step t of the channel is a fixed map g_t on the state alphabet,
+g_t(s) = #{k : cdf[x_t, s, k] <= u_t}, and y_t = (g_t o ... o g_1)(y_0).
+Composition is associative, so all n prefix maps come out of
+ceil(log2 n) vectorized doubling steps (Hillis & Steele 1986; Blelloch
+1990) instead of n sequential Python steps, with the same integer output
+as the step-by-step loop.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .rng import uniform_grid, uniforms
 
-_BACKENDS = ("numba", "numpy")
-_requested = os.environ.get("MARKOVCOORD_BACKEND", "auto").lower()
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from numba import njit
+def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray,
+                key: int | np.ndarray) -> np.ndarray:
+    """Sample a channel output path for input x_seq from initial state y0.
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    _HAVE_NUMBA = False
-
-if _requested == "auto":
-    _backend = "numba" if _HAVE_NUMBA else "numpy"
-elif _requested in _BACKENDS:
-    if _requested == "numba" and not _HAVE_NUMBA:
-        raise ImportError("MARKOVCOORD_BACKEND=numba but numba is not importable")
-    _backend = _requested
-else:
-    raise ValueError(f"MARKOVCOORD_BACKEND must be auto|numba|numpy, got {_requested!r}")
-
-
-def backend_name() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (mainly for tests and benchmarks)."""
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-
-def _markov_path_np(x_seq, y0, cdf_rows, us):
-    """Sequentially sample y_t ~ row(x_t, y_{t-1}); cdf_rows is (nx*ny, ny)."""
-    n = x_seq.size
+    cdf_rows is the flattened (nx*ny, ny) conditional cdf table, row
+    x * ny + y_prev; y_t is #{k : cdf_rows[x_t * ny + y_{t-1}, k] <= u_t}
+    with u_t at counter t of the keyed stream.  A (T, n) x_seq with an
+    array of T keys samples T independent paths, row i from keys[i].
+    """
+    x_seq = np.asarray(x_seq, dtype=np.int64)
+    n = x_seq.shape[-1]
+    if x_seq.ndim == 1:
+        us = uniforms(key, n)
+    else:
+        us = uniform_grid(np.asarray(key, dtype=np.uint64), n)
     ny = cdf_rows.shape[1]
-    y = np.empty(n, dtype=np.int64)
-    prev = y0
-    for t in range(n):
-        row = cdf_rows[x_seq[t] * ny + prev]
-        prev = int(np.sum(row <= us[t]))
-        y[t] = prev
-    return y
+    # g[..., t, s]: state after step t when the state before it is s
+    g = np.count_nonzero(cdf_rows.reshape(-1, ny, ny)[x_seq] <= us[..., None, None],
+                         axis=-1)
+    d = 1
+    while d < n:  # g[t] <- g[t] o g[t-d]: g[t] then composes steps max(0, t-2d+1)..t
+        g[..., d:, :] = np.take_along_axis(g[..., d:, :], g[..., :-d, :], axis=-1)
+        d *= 2
+    return g[..., y0].astype(np.int64)
 
 
-def _word_symbols_np(keys, row_idx, cdf_rows):
-    """(len(keys), n) symbol table; word m, position t drawn from
-    cdf_rows[row_idx[t]] using the keyed uniform stream of keys[m]."""
+def word_symbols(keys: np.ndarray, row_idx: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
+    """(len(keys), n) symbol table, one word per key; word m, position t
+    draws from cdf_rows[row_idx[t]] with the keyed uniform stream of keys[m]."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
     us = uniform_grid(keys, row_idx.size)
     return np.sum(cdf_rows[row_idx][None, :, :] <= us[:, :, None], axis=-1, dtype=np.int64)
 
 
-def _offset_counts_np(words, base, stride, ncells):
-    """Count table per word row: cell index at position t is
-    base[t] + words[m, t] * stride."""
+def offset_counts(words: np.ndarray, base: np.ndarray, stride: int, ncells: int) -> np.ndarray:
+    """Per-row count tables: row m counts cells base[t] + words[m, t] * stride."""
+    words = np.ascontiguousarray(words, dtype=np.int64)
+    base = np.ascontiguousarray(base, dtype=np.int64)
     m = words.shape[0]
-    flat = base[None, :] + words * stride + (np.arange(m, dtype=np.int64) * ncells)[:, None]
+    flat = base[None, :] + words * int(stride) + (np.arange(m, dtype=np.int64) * ncells)[:, None]
     return np.bincount(flat.ravel(), minlength=m * ncells).reshape(m, ncells)
 
 
-def _aep_enumerate_np(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
-                      n, nx, ny, eps, block=64):
+def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
+                  n, nx, ny, eps, block=64):
     """Exhaustive scan over all (x, y) sequence pairs.
 
     Returns (typical_count, prob_typical, prob_all, nll_min, nll_max);
     the nll statistics are over typical pairs only.  Pairs stepping on a
     zero-probability transition get probability zero and nll = inf.
     """
+
     nx_rows, _ = xdig.shape
     ncells = q_flat.size
     x_counts = np.stack([np.bincount(r, minlength=nx) for r in xdig])
@@ -136,158 +112,6 @@ def _aep_enumerate_np(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
             nll_min = min(nll_min, float(nll.min()))
             nll_max = max(nll_max, float(nll.max()))
     return typical, prob_t, prob_all, nll_min, nll_max
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _markov_path_nb(x_seq, y0, cdf_rows, us):
-        n = x_seq.size
-        ny = cdf_rows.shape[1]
-        y = np.empty(n, dtype=np.int64)
-        prev = y0
-        for t in range(n):
-            row = cdf_rows[x_seq[t] * ny + prev]
-            u = us[t]
-            s = 0
-            while row[s] <= u:
-                s += 1
-            prev = s
-            y[t] = s
-        return y
-
-    @njit(cache=True)
-    def _word_symbols_nb(keys, row_idx, cdf_rows):
-        m = keys.size
-        n = row_idx.size
-        out = np.empty((m, n), dtype=np.int64)
-        phi = np.uint64(0x9E3779B97F4A7C15)
-        m1 = np.uint64(0xBF58476D1CE4E5B9)
-        m2 = np.uint64(0x94D049BB133111EB)
-        inv = 1.0 / 9007199254740992.0
-        for i in range(m):
-            k = keys[i]
-            for t in range(n):
-                z = k + np.uint64(t + 1) * phi
-                z = (z ^ (z >> np.uint64(30))) * m1
-                z = (z ^ (z >> np.uint64(27))) * m2
-                z = z ^ (z >> np.uint64(31))
-                u = (z >> np.uint64(11)) * inv
-                row = cdf_rows[row_idx[t]]
-                s = 0
-                while row[s] <= u:
-                    s += 1
-                out[i, t] = s
-        return out
-
-    @njit(cache=True)
-    def _offset_counts_nb(words, base, stride, ncells):
-        m, n = words.shape
-        out = np.zeros((m, ncells), dtype=np.int64)
-        for i in range(m):
-            for t in range(n):
-                out[i, base[t] + words[i, t] * stride] += 1
-        return out
-
-    @njit(cache=True)
-    def _aep_enumerate_nb(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
-                          n, nx, ny, eps):
-        ncells = q_flat.size
-        counts = np.zeros(ncells, dtype=np.int64)
-        typical = 0
-        prob_t = 0.0
-        prob_all = 0.0
-        nll_min = np.inf
-        nll_max = -np.inf
-        for yi in range(ydig.shape[0]):
-            for xi in range(xdig.shape[0]):
-                for c in range(ncells):
-                    counts[c] = 0
-                logp = 0.0
-                ok = True
-                prev = y0
-                for t in range(n):
-                    x = xdig[xi, t]
-                    j = ydig[yi, t]
-                    cell = (prev * nx + x) * ny + j
-                    counts[cell] += 1
-                    if not support_flat[cell] or not np.isfinite(logpx[x]):
-                        ok = False
-                    else:
-                        logp += logpx[x] + logw_flat[cell]
-                    prev = j
-                gap = 0.0
-                for c in range(ncells):
-                    gap += abs(counts[c] / n - q_flat[c])
-                prob = 2.0 ** logp if ok else 0.0
-                prob_all += prob
-                if gap <= eps:
-                    typical += 1
-                    prob_t += prob
-                    nll = -logp / n if ok else np.inf
-                    if nll < nll_min:
-                        nll_min = nll
-                    if nll > nll_max:
-                        nll_max = nll
-        return typical, prob_t, prob_all, nll_min, nll_max
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray, key: int) -> np.ndarray:
-    """Sample a channel output path for input x_seq from initial state y0.
-
-    cdf_rows is the flattened (nx*ny, ny) conditional cdf table; the
-    uniform at position t comes from the keyed counter stream, so both
-    backends consume identical randomness.
-    """
-    us = uniforms(key, x_seq.size)
-    if _backend == "numba":
-        return _markov_path_nb(x_seq, np.int64(y0), cdf_rows, us)
-    return _markov_path_np(x_seq, int(y0), cdf_rows, us)
-
-
-def word_symbols(keys: np.ndarray, row_idx: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
-    """Generate one symbol word per key; position t draws from cdf_rows[row_idx[t]]."""
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
-    if _backend == "numba":
-        return _word_symbols_nb(keys, row_idx, cdf_rows)
-    return _word_symbols_np(keys, row_idx, cdf_rows)
-
-
-def offset_counts(words: np.ndarray, base: np.ndarray, stride: int, ncells: int) -> np.ndarray:
-    """Per-row count tables over cells base[t] + words[m, t] * stride."""
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    base = np.ascontiguousarray(base, dtype=np.int64)
-    if _backend == "numba":
-        return _offset_counts_nb(words, base, np.int64(stride), np.int64(ncells))
-    return _offset_counts_np(words, base, int(stride), int(ncells))
-
-
-def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
-                  n, nx, ny, eps):
-    """Exhaustive (x, y) pair scan; see _aep_enumerate_np for the contract."""
-    args = (
-        np.ascontiguousarray(xdig, dtype=np.int64),
-        np.ascontiguousarray(ydig, dtype=np.int64),
-        np.int64(y0),
-        np.ascontiguousarray(logpx, dtype=np.float64),
-        np.ascontiguousarray(logw_flat, dtype=np.float64),
-        np.ascontiguousarray(support_flat, dtype=np.bool_),
-        np.ascontiguousarray(q_flat, dtype=np.float64),
-        np.int64(n), np.int64(nx), np.int64(ny), float(eps),
-    )
-    if _backend == "numba":
-        return _aep_enumerate_nb(*args)
-    return _aep_enumerate_np(*args)
 
 
 def digit_rows(count: int, base: int, n: int) -> np.ndarray:

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from .rng import make_cdf
 
 PROB_TOL = 1e-9          # validity tolerance for pmfs and kernel rows
 STATIONARY_TOL = 1e-12   # required ||pi T - pi||_1 of a returned equilibrium
@@ -122,6 +125,12 @@ class Kernel:
     @property
     def output_size(self) -> int:
         return self.table.shape[-1]
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """(prod(input_sizes), output_size) row cdf table for inverse-cdf
+        sampling; row r is the row-major flattened conditioning index."""
+        return _frozen(make_cdf(self.table.reshape(-1, self.output_size)))
 
 
 @dataclass(frozen=True, eq=False)

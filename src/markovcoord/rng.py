@@ -2,9 +2,10 @@
 
 Every random draw in this package is a pure function of a 64-bit key and
 a counter, so any substream can be regenerated independently (codewords,
-channel noise, source blocks) without storing generator state.  The same
-finalizer is reimplemented inside the numba kernels; `tests/test_kernels`
-pins the two paths to bit-identical output.
+channel noise, source blocks) without storing generator state.  Keys
+fold in Python ints (`derive_key`) or in uint64 arrays (`derive_keys`,
+`fold_keys`); the array forms wrap modulo 2^64 exactly like the masked
+int arithmetic, and `tests/test_kernels` pins them to a pure-int oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ def derive_keys(key: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized derive_key(key, i) for an int64/uint64 index array."""
     w = _finalize_u64(indices.astype(np.uint64))
     return _finalize_u64((np.uint64((key + PHI64) & MASK64)) ^ w)
+
+
+def fold_keys(keys: np.ndarray, word: int) -> np.ndarray:
+    """Vectorized derive_key(k, word) for every k in a uint64 key array."""
+    return _finalize_u64((keys + _U_PHI) ^ np.uint64(_finalize_int(word)))
 
 
 def _finalize_u64(z: np.ndarray) -> np.ndarray:

@@ -26,10 +26,11 @@ from .probability import (
     induced_transition,
     stationary_dist,
 )
-from .rng import derive_key, make_cdf, sample_from_cdf, uniforms
+from .rng import derive_key, derive_keys, fold_keys, make_cdf, sample_from_cdf, uniform_grid
 
-MAX_EXACT_PAIRS = 10 ** 7  # default enumeration guard for audits
-_FLOAT_GUARD = 1e-9        # absorbs round-off in boundary comparisons
+MAX_EXACT_PAIRS = 10 ** 7      # default enumeration guard for audits
+AUDIT_CHUNK_SYMBOLS = 1 << 14  # sampled-audit trials x n per batched pass; bounds memory
+_FLOAT_GUARD = 1e-9            # absorbs round-off in boundary comparisons
 
 
 class EnumerationTooLarge(RuntimeError):
@@ -315,21 +316,28 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
         mode_used = "exact"
     else:
         x_cdf = make_cdf(px.pmf)
-        w_cdf = make_cdf(w.table.reshape(nx * ny, ny))
+        trial_root = derive_key(seed, 5001)
+        chunk = max(1, AUDIT_CHUNK_SYMBOLS // n)
         typical = 0
-        prob_t = 0.0
         nll_min, nll_max = np.inf, -np.inf
-        for trial in range(sample_size):
-            key = derive_key(seed, 5001, trial)
-            x_seq = sample_from_cdf(x_cdf, uniforms(derive_key(key, 0), n))
-            y_seq = kernels.markov_path(x_seq, y0, w_cdf, derive_key(key, 1))
-            t = triplet_type(x_seq, y_seq, y0, nx, ny)
-            gap = float(np.abs(t.normalized - q).sum())
-            if gap <= eps:
-                typical += 1
-                nll = -sequence_log_prob(x_seq, y_seq, y0, px, w) / n
-                nll_min = min(nll_min, nll)
-                nll_max = max(nll_max, nll)
+        for lo in range(0, sample_size, chunk):
+            # trial t draws x from derive_key(derive_key(seed, 5001, t), 0)
+            # and the channel from the same key folded with 1
+            keys = derive_keys(trial_root, np.arange(lo, min(lo + chunk, sample_size)))
+            x = sample_from_cdf(x_cdf, uniform_grid(fold_keys(keys, 0), n))
+            y = kernels.markov_path(x, y0, w.cdf, fold_keys(keys, 1))
+            yprev = np.concatenate([np.full((y.shape[0], 1), y0), y[:, :-1]], axis=1)
+            counts = kernels.offset_counts((yprev * nx + x) * ny + y,
+                                           np.zeros(n, dtype=np.int64), 1, q_flat.size)
+            hit = np.abs(counts / n - q_flat).sum(axis=1) <= eps
+            if hit.any():
+                typical += int(hit.sum())
+                x, y, yprev = x[hit], y[hit], yprev[hit]
+                with np.errstate(divide="ignore"):  # a zero factor gives log2 = -inf
+                    logp = np.log2(px.pmf[x] * w.table[x, yprev, y]).sum(axis=1)
+                nll = -logp / n
+                nll_min = min(nll_min, float(nll.min()))
+                nll_max = max(nll_max, float(nll.max()))
         pairs_checked = sample_size
         typical_count = None
         typical_prob = typical / sample_size  # estimate of P(typical)

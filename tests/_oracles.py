@@ -146,3 +146,50 @@ def binary_grid_slack(target_pmf, i_channel, step=0.05, tol=1e-9):
     if not feasible.any():
         return -np.inf
     return float((i_channel - i_uwx)[feasible].max())
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix_uniform(key, counter):
+    """Uniform at (1-based) counter of the keyed splitmix64 stream, in
+    Python ints: z = key + counter * phi, finalized, top 53 bits."""
+    z = (key + counter * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z ^= z >> 31
+    return (z >> 11) / 2.0 ** 53
+
+
+def inverse_cdf_symbol(row, u):
+    """#{k : row[k] <= u}, counted one entry at a time."""
+    return sum(1 for c in row if c <= u)
+
+
+def channel_path_loop(x_seq, y0, cdf_rows, us):
+    """One Python step per symbol: y_t from row x_t * ny + y_{t-1}."""
+    ny = cdf_rows.shape[1]
+    prev = int(y0)
+    out = []
+    for x, u in zip(x_seq, us):
+        prev = inverse_cdf_symbol(cdf_rows[int(x) * ny + prev], u)
+        out.append(prev)
+    return np.array(out, dtype=np.int64)
+
+
+def word_symbols_loop(keys, row_idx, cdf_rows):
+    """Keyed codeword table with the stream computed in Python ints."""
+    out = np.empty((len(keys), len(row_idx)), dtype=np.int64)
+    for m, key in enumerate(keys):
+        for t, r in enumerate(row_idx):
+            out[m, t] = inverse_cdf_symbol(cdf_rows[r], splitmix_uniform(int(key), t + 1))
+    return out
+
+
+def offset_counts_loop(words, base, stride, ncells):
+    """Count table per row, one increment per (row, position)."""
+    out = np.zeros((len(words), ncells), dtype=np.int64)
+    for m, word in enumerate(words):
+        for t, s in enumerate(word):
+            out[m, base[t] + s * stride] += 1
+    return out

@@ -112,6 +112,18 @@ def test_encode_block_vacuous_threshold(cand):
     assert encode_block(u, 0, cb, eps=2.0 * ncells) == 0  # gap can never exceed 2
 
 
+def test_scan_limit_below_one_is_rejected(cand):
+    with pytest.raises(ValueError, match="scan_limit"):
+        SchemeConfig(candidate=cand, n=60, num_blocks=3, rate=0.05, eps=0.3,
+                     scan_limit=0)
+    cb = Codebook(cand, 60, 0.05, seed=2)
+    u = np.zeros(60, dtype=np.int64)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="scan_limit"):
+            encode_block(u, 0, cb, eps=100.0, scan_limit=bad)
+    assert encode_block(u, 0, cb, eps=100.0, scan_limit=1) == 0
+
+
 def test_encode_block_returns_smallest_index(cand):
     cb = Codebook(cand, 300, BLESSED["rate_mid"], seed=8)
     rng = np.random.default_rng(1)

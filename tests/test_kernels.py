@@ -1,82 +1,98 @@
-"""Backend equivalence: the numba fast path and the numpy fallback must
-produce identical symbols/counts and matching reductions."""
+"""Kernels against scalar-loop oracles that share no code with them."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import (
+    channel_path_loop,
+    offset_counts_loop,
+    splitmix_uniform,
+    typical_set_scan,
+    word_symbols_loop,
+)
 
 from markovcoord import kernels
-from markovcoord.rng import derive_keys, make_cdf, uniforms
-
-pytestmark = pytest.mark.skipif(
-    kernels.backend_name() == "numpy" and not kernels._HAVE_NUMBA,
-    reason="numba unavailable; nothing to compare")
+from markovcoord.rng import derive_key, derive_keys, fold_keys, make_cdf, uniforms
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    current = kernels.backend_name()
-    yield
-    kernels.set_backend(current)
+def _cdf_with_zero_cells(rng, rows, ny):
+    """Random row cdfs in which about a third of the cells have mass 0."""
+    pmf = rng.random((rows, ny)) * (rng.random((rows, ny)) > 0.35)
+    pmf[np.arange(rows), rng.integers(0, ny, rows)] += 0.05  # no empty row
+    return make_cdf(pmf)
 
 
-def _both(fn):
-    kernels.set_backend("numpy")
-    a = fn()
-    kernels.set_backend("numba")
-    b = fn()
-    return a, b
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-def test_markov_path_backends_identical():
+def test_markov_path_matches_loop():
     rng = np.random.default_rng(0)
     cdf = make_cdf(rng.dirichlet(np.ones(3), size=6))  # nx*ny = 6 rows, ny = 3
     x = rng.integers(0, 2, 5000).astype(np.int64)
-    a, b = _both(lambda: kernels.markov_path(x, 1, cdf, 987))
-    assert np.array_equal(a, b)
-    assert a.min() >= 0 and a.max() < 3
+    y = kernels.markov_path(x, 1, cdf, 987)
+    assert y.dtype == np.int64
+    assert np.array_equal(y, channel_path_loop(x, 1, cdf, uniforms(987, 5000)))
 
 
-def test_word_symbols_backends_identical():
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 1000),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 64 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_markov_path_property(nx, ny, n, seed, key, data):
+    y0 = data.draw(st.integers(0, ny - 1))
+    rng = np.random.default_rng(seed)
+    cdf = _cdf_with_zero_cells(rng, nx * ny, ny)
+    x = rng.integers(0, nx, n).astype(np.int64)
+    y = kernels.markov_path(x, y0, cdf, key)
+    assert np.array_equal(y, channel_path_loop(x, y0, cdf, uniforms(key, n)))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 200),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_markov_path_equals_stacked_rows(nx, ny, n, rows, seed, data):
+    y0 = data.draw(st.integers(0, ny - 1))
+    rng = np.random.default_rng(seed)
+    cdf = _cdf_with_zero_cells(rng, nx * ny, ny)
+    x = rng.integers(0, nx, (rows, n)).astype(np.int64)
+    keys = derive_keys(seed, np.arange(rows))
+    stacked = np.stack([kernels.markov_path(x[i], y0, cdf, int(keys[i]))
+                        for i in range(rows)])
+    assert np.array_equal(kernels.markov_path(x, y0, cdf, keys), stacked)
+
+
+def test_word_symbols_matches_int_oracle():
     rng = np.random.default_rng(1)
-    cdf = make_cdf(rng.dirichlet(np.ones(4), size=2))
-    keys = derive_keys(55, np.arange(200, dtype=np.int64))
+    cdf = _cdf_with_zero_cells(rng, 2, 4)
+    keys = derive_keys(55, np.arange(40, dtype=np.int64))
     row_idx = rng.integers(0, 2, 64).astype(np.int64)
-    a, b = _both(lambda: kernels.word_symbols(keys, row_idx, cdf))
-    assert np.array_equal(a, b)
+    assert np.array_equal(kernels.word_symbols(keys, row_idx, cdf),
+                          word_symbols_loop(keys, row_idx, cdf))
 
 
-def test_offset_counts_backends_identical():
+def test_offset_counts_matches_loop():
     rng = np.random.default_rng(2)
     words = rng.integers(0, 2, size=(100, 50)).astype(np.int64)
     base = rng.integers(0, 4, size=50).astype(np.int64) * 2
-    a, b = _both(lambda: kernels.offset_counts(words, base, 1, 8))
-    assert np.array_equal(a, b)
-    assert (a.sum(axis=1) == 50).all()
+    counts = kernels.offset_counts(words, base, 1, 8)
+    assert np.array_equal(counts, offset_counts_loop(words, base, 1, 8))
+    assert (counts.sum(axis=1) == 50).all()
 
 
-def test_aep_enumerate_backends_agree():
+def test_aep_enumerate_matches_pair_scan():
     rng = np.random.default_rng(3)
-    n, nx, ny = 7, 2, 2
-    xdig = kernels.digit_rows(nx ** n, nx, n)
-    ydig = kernels.digit_rows(ny ** n, ny, n)
-    logpx = np.log2(np.array([0.6, 0.4]))
-    w = rng.dirichlet(np.ones(ny), size=(nx, ny))
-    logw = np.transpose(np.log2(w), (1, 0, 2)).ravel()
-    support = np.ones(nx * ny * ny, dtype=bool)
-    q = rng.dirichlet(np.ones(8))
-    run = lambda: kernels.aep_enumerate(xdig, ydig, 0, logpx, logw, support,
-                                        q, n, nx, ny, 0.5)
-    a, b = _both(run)
-    assert a[0] == b[0]                     # typical counts exact
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
-    assert a[2] == pytest.approx(b[2], rel=1e-12)
-    assert a[3] == pytest.approx(b[3], abs=1e-12)
-    assert a[4] == pytest.approx(b[4], abs=1e-12)
+    n, nx, ny, eps = 5, 2, 2, 0.8
+    px = np.array([0.6, 0.4])
+    w = rng.dirichlet(np.ones(ny), size=(nx, ny))  # [x, y_prev, y]
+    q = rng.dirichlet(np.ones(ny * nx * ny)).reshape(ny, nx, ny)
+    typical, prob_t, prob_all, nll_min, nll_max = kernels.aep_enumerate(
+        kernels.digit_rows(nx ** n, nx, n), kernels.digit_rows(ny ** n, ny, n), 0,
+        np.log2(px), np.transpose(np.log2(w), (1, 0, 2)).ravel(),
+        np.ones(ny * nx * ny, dtype=bool), q.ravel(), n, nx, ny, eps)
+    count, prob, nlls = typical_set_scan(n, eps, px, w, q, 0)
+    assert count > 0 and typical == count
+    assert prob_t == pytest.approx(prob, rel=1e-12)
+    assert prob_all == pytest.approx(1.0, rel=1e-12)
+    assert nll_min == pytest.approx(min(nlls), abs=1e-12)
+    assert nll_max == pytest.approx(max(nlls), abs=1e-12)
 
 
 def test_digit_rows():
@@ -88,12 +104,13 @@ def test_digit_rows():
 
 
 def test_scalar_and_vector_key_derivation_agree():
-    from markovcoord.rng import derive_key
-
     idx = np.array([0, 3, 9, 2 ** 40], dtype=np.int64)
     vec = derive_keys(777, idx)
     for i, k in zip(idx, vec):
         assert int(k) == derive_key(777, int(i))
+    for word in (0, 1, 5001):
+        folded = fold_keys(vec, word)
+        assert [int(k) for k in folded] == [derive_key(777, int(i), word) for i in idx]
 
 
 def test_uniforms_are_in_unit_interval_and_reproducible():
@@ -103,3 +120,5 @@ def test_uniforms_are_in_unit_interval_and_reproducible():
     assert u1.min() >= 0.0 and u1.max() < 1.0
     # counter offset slices the same stream
     assert np.array_equal(uniforms(42, 10, start=5), u1[5:15])
+    key = 2 ** 64 - 3  # the counter sum wraps modulo 2^64
+    assert list(uniforms(key, 50)) == [splitmix_uniform(key, t + 1) for t in range(50)]

@@ -14,8 +14,10 @@ from markovcoord.probability import (
     stationary_dist,
 )
 from markovcoord.rng import derive_key, make_cdf, sample_from_cdf, uniforms
+from markovcoord import kernels
 from markovcoord.codec import channel_block
 from markovcoord.typicality import (
+    AUDIT_CHUNK_SYMBOLS,
     EnumerationTooLarge,
     aep_audit,
     aep_constants,
@@ -266,6 +268,44 @@ def test_aep_audit_guard_and_statistical_fallback():
     assert r.mode == "statistical"
     assert 0.0 <= r.typical_prob <= 1.0
     assert r.sandwich_ok  # deterministic bound holds on every sampled pair
+
+
+def _sampled_audit_loop(n, eps, px, w, y0, sample_size, seed):
+    """The per-trial sampled audit: one channel path, triplet type and
+    log-probability per trial.  Returns (typical, nll_min, nll_max)."""
+    nx, ny = px.size, w.output_size
+    pi = stationary_dist(induced_transition(px, w))
+    q = np.einsum("i,x,xij->ixj", pi.pmf, px.pmf, w.table)
+    x_cdf = make_cdf(px.pmf)
+    w_cdf = make_cdf(w.table.reshape(nx * ny, ny))
+    typical = 0
+    nll_min, nll_max = np.inf, -np.inf
+    for trial in range(sample_size):
+        key = derive_key(seed, 5001, trial)
+        x_seq = sample_from_cdf(x_cdf, uniforms(derive_key(key, 0), n))
+        y_seq = kernels.markov_path(x_seq, y0, w_cdf, derive_key(key, 1))
+        t = triplet_type(x_seq, y_seq, y0, nx, ny)
+        if float(np.abs(t.normalized - q).sum()) <= eps:
+            typical += 1
+            nll = -sequence_log_prob(x_seq, y_seq, y0, px, w) / n
+            nll_min = min(nll_min, nll)
+            nll_max = max(nll_max, nll)
+    return typical, nll_min, nll_max
+
+
+@pytest.mark.parametrize("n,eps", [(5, 0.6), (16, 0.3)])
+def test_batched_sampled_audit_equals_per_trial_loop(n, eps):
+    px = Dist(np.array([0.6, 0.4]))
+    w = Kernel(np.array([[[0.7, 0.3], [0.8, 0.2]],
+                         [[0.3, 0.7], [0.4, 0.6]]]))
+    chunk = AUDIT_CHUNK_SYMBOLS // n  # trials per batched pass
+    for seed in (0, 1, 9):
+        for size in (1, chunk - 1, chunk, chunk + 1):
+            r = aep_audit(n, eps, px, w, y0=1, mode="sample", sample_size=size, seed=seed)
+            typical, nll_min, nll_max = _sampled_audit_loop(n, eps, px, w, 1, size, seed)
+            assert r.typical_prob == typical / size
+            assert r.nll_min == nll_min and r.nll_max == nll_max
+            assert size == 1 or typical > 0  # typical rows are compared too
 
 
 def test_typical_probability_grows_with_blocklength():
