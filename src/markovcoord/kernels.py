@@ -16,9 +16,14 @@ as the step-by-step loop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .rng import uniform_grid, uniforms
+from .rng import uniform_grid
+
+PATH_SEGMENT_SYMBOLS = 1 << 14  # channel steps composed per pass; bounds the map tables
+AEP_PAIR_BLOCK = 64  # y sequences per enumeration pass
 
 
 def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray,
@@ -29,22 +34,29 @@ def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray,
     x * ny + y_prev; y_t is #{k : cdf_rows[x_t * ny + y_{t-1}, k] <= u_t}
     with u_t at counter t of the keyed stream.  A (T, n) x_seq with an
     array of T keys samples T independent paths, row i from keys[i].
+    Steps are composed in segments of about PATH_SEGMENT_SYMBOLS symbols,
+    each starting from the last state of the one before.
     """
     x_seq = np.asarray(x_seq, dtype=np.int64)
     n = x_seq.shape[-1]
-    if x_seq.ndim == 1:
-        us = uniforms(key, n)
-    else:
-        us = uniform_grid(np.asarray(key, dtype=np.uint64), n)
+    us = uniform_grid(np.atleast_1d(np.asarray(key, dtype=np.uint64)), n).reshape(x_seq.shape)
     ny = cdf_rows.shape[1]
-    # g[..., t, s]: state after step t when the state before it is s
-    g = np.count_nonzero(cdf_rows.reshape(-1, ny, ny)[x_seq] <= us[..., None, None],
-                         axis=-1)
-    d = 1
-    while d < n:  # g[t] <- g[t] o g[t-d]: g[t] then composes steps max(0, t-2d+1)..t
-        g[..., d:, :] = np.take_along_axis(g[..., d:, :], g[..., :-d, :], axis=-1)
-        d *= 2
-    return g[..., y0].astype(np.int64)
+    tables = cdf_rows.reshape(-1, ny, ny)
+    y = np.empty(x_seq.shape, dtype=np.int64)
+    state = np.full(x_seq.shape[:-1] + (1, 1), y0, dtype=np.int64)
+    seg = max(1, PATH_SEGMENT_SYMBOLS // math.prod(x_seq.shape[:-1]))  # steps per segment
+    for lo in range(0, n, seg):
+        hi = min(lo + seg, n)
+        # g[..., t, s]: state after step t when the state before it is s
+        g = np.count_nonzero(tables[x_seq[..., lo:hi]] <= us[..., lo:hi, None, None], axis=-1)
+        d = 1
+        while d < hi - lo:  # g[t] <- g[t] o g[t-d]: g[t] then composes steps max(0, t-2d+1)..t
+            g[..., d:, :] = np.take_along_axis(g[..., d:, :], g[..., :-d, :], axis=-1)
+            d *= 2
+        y[..., lo:hi] = np.take_along_axis(g, np.broadcast_to(state, g.shape[:-1] + (1,)),
+                                           axis=-1)[..., 0]
+        state = y[..., hi - 1:hi, None]
+    return y
 
 
 def word_symbols(keys: np.ndarray, row_idx: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
@@ -66,7 +78,7 @@ def offset_counts(words: np.ndarray, base: np.ndarray, stride: int, ncells: int)
 
 
 def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
-                  n, nx, ny, eps, block=64):
+                  n, nx, ny, eps):
     """Exhaustive scan over all (x, y) sequence pairs.
 
     Returns (typical_count, prob_typical, prob_all, nll_min, nll_max);
@@ -89,8 +101,8 @@ def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
     prob_t = 0.0
     prob_all = 0.0
     nll_min, nll_max = np.inf, -np.inf
-    for lo in range(0, ydig.shape[0], block):
-        yb = ybase[lo:lo + block]
+    for lo in range(0, ydig.shape[0], AEP_PAIR_BLOCK):
+        yb = ybase[lo:lo + AEP_PAIR_BLOCK]
         b = yb.shape[0]
         cells = yb[:, None, :] + xdig[None, :, :] * ny  # (b, Nx, n)
         pair_ids = np.arange(b * nx_rows, dtype=np.int64).reshape(b, nx_rows, 1)

@@ -27,10 +27,24 @@ def _cdf_with_zero_cells(rng, rows, ny):
 def test_markov_path_matches_loop():
     rng = np.random.default_rng(0)
     cdf = make_cdf(rng.dirichlet(np.ones(3), size=6))  # nx*ny = 6 rows, ny = 3
-    x = rng.integers(0, 2, 5000).astype(np.int64)
+    n = 2 * kernels.PATH_SEGMENT_SYMBOLS + 123  # crosses two segment boundaries
+    x = rng.integers(0, 2, n).astype(np.int64)
     y = kernels.markov_path(x, 1, cdf, 987)
     assert y.dtype == np.int64
-    assert np.array_equal(y, channel_path_loop(x, 1, cdf, uniforms(987, 5000)))
+    assert np.array_equal(y, channel_path_loop(x, 1, cdf, uniforms(987, n)))
+
+
+@pytest.mark.parametrize("segment", [1, 5, 24, 97])
+def test_markov_path_segments_carry_the_state(monkeypatch, segment):
+    rng = np.random.default_rng(segment)
+    cdf = _cdf_with_zero_cells(rng, 6, 3)
+    x = rng.integers(0, 2, (4, 300)).astype(np.int64)
+    keys = derive_keys(segment, np.arange(4))
+    expected = np.stack([channel_path_loop(x[i], 1, cdf, uniforms(int(keys[i]), 300))
+                         for i in range(4)])
+    monkeypatch.setattr(kernels, "PATH_SEGMENT_SYMBOLS", segment)
+    assert np.array_equal(kernels.markov_path(x, 1, cdf, keys), expected)
+    assert np.array_equal(kernels.markov_path(x[0], 1, cdf, int(keys[0])), expected[0])
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 1000),
