@@ -4,7 +4,6 @@ over finite-state Markov channels with strictly causal encoders."""
 __version__ = "0.1.0"
 
 from .probability import (
-    Alphabet,
     AssumptionViolated,
     ChainStructure,
     Dist,

@@ -28,7 +28,7 @@ from . import kernels
 from .probability import Kernel
 from .region import InnerCandidate
 from .rng import derive_key, derive_keys, make_cdf, sample_from_cdf, uniforms
-from .typicality import FullType, full_type, triplet_type
+from .typicality import FullType, _check_seq, full_type, triplet_type
 
 MEMORY_GUARD_CELLS = 10 ** 8
 DEFAULT_SCAN_LIMIT = 1 << 16  # covering-search cap when 2^{nR} is astronomical
@@ -214,7 +214,7 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
         raise ValueError("scan_limit must be >= 1")
     n = cb.n
     x_prev = cb.x_word(m_prev)
-    u_prev = np.asarray(u_prev, dtype=np.int64)
+    u_prev = _check_seq(u_prev, cb.candidate.p_u.size, "u_prev")
     if u_prev.size != n:
         raise ValueError("source block length does not match n")
     limit = min(cb.m_count, scan_limit)
@@ -270,12 +270,13 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     connecting auxiliary word.  y_boundary_states supplies the y' values
     at t=1 of the previous and current block (threaded channel states).
     """
+    ny = cb.candidate.channel.output_size
+    y_prev_block = _check_seq(y_prev_block, ny, "y_prev_block")
+    y_block = _check_seq(y_block, ny, "y_block")
+    boundary_prev, boundary_cur = _check_seq(y_boundary_states, ny, "y_boundary_states")
     cb.materialize_x()
-    boundary_prev, boundary_cur = y_boundary_states
-    gaps1, gaps2 = _decode_gaps(
-        cb, np.asarray(y_prev_block, dtype=np.int64),
-        np.asarray(y_block, dtype=np.int64), m_tilde_prev,
-        boundary_prev, boundary_cur)
+    gaps1, gaps2 = _decode_gaps(cb, y_prev_block, y_block, m_tilde_prev,
+                                boundary_prev, boundary_cur)
     hits = np.nonzero((gaps1 <= eps) & (gaps2 <= eps))[0]
     if hits.size == 0:
         return DecodeResult(DecodeStatus.NONE, None, 0)

@@ -30,7 +30,7 @@ from .codec import (
     message_count,
     run_scheme,
 )
-from .probability import Alphabet, AssumptionViolated, Dist, Kernel
+from .probability import AssumptionViolated, Dist, Kernel
 from .region import InnerCandidate, optimize_auxiliary
 from .rng import derive_key, make_cdf, sample_from_cdf, uniforms
 from .typicality import aep_audit, prop1_gaps
@@ -200,8 +200,7 @@ def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate
     try:
         candidate = InnerCandidate(
             p_u=parts["u_pmf"], p_x=parts["x_pmf"], p_w_given_ux=parts["w_given_ux"],
-            channel=parts["channel"], p_v_given_yxw=parts["v_given_yxw"],
-            w_alphabet=Alphabet(parts["w_given_ux"].output_size))
+            channel=parts["channel"], p_v_given_yxw=parts["v_given_yxw"])
     except (ValueError, AssumptionViolated) as e:
         problems.append(f"instance: {e}")
         return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,27 +34,10 @@ class ConvergenceError(RuntimeError):
     """A computed equilibrium misses its stationarity tolerance."""
 
 
-def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Alphabet:
-    """A finite symbol set, optionally with human-readable labels."""
-
-    size: int
-    labels: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.size or len(set(labels)) != self.size:
-                raise ValueError("labels must be distinct and match size")
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +45,6 @@ class Dist:
     """A pmf over a finite alphabet."""
 
     pmf: np.ndarray
-    alphabet: Optional[Alphabet] = None
 
     def __post_init__(self):
         pmf = _frozen(self.pmf)
@@ -73,10 +55,6 @@ class Dist:
         if abs(pmf.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"pmf sums to {pmf.sum()!r}, not 1 within {PROB_TOL}")
         object.__setattr__(self, "pmf", pmf)
-        if self.alphabet is None:
-            object.__setattr__(self, "alphabet", Alphabet(pmf.size))
-        elif self.alphabet.size != pmf.size:
-            raise ValueError("pmf length does not match alphabet size")
 
     @property
     def size(self) -> int:
@@ -93,13 +71,13 @@ class Kernel:
     """
 
     table: np.ndarray
-    input_alphabets: Optional[Tuple[Alphabet, ...]] = None
-    output_alphabet: Optional[Alphabet] = None
 
     def __post_init__(self):
         table = _frozen(self.table)
         if table.ndim < 2:
             raise ValueError("kernel table needs at least one conditioning axis")
+        if 0 in table.shape[:-1]:
+            raise ValueError(f"kernel table {table.shape} has an empty conditioning axis")
         if np.any(table < 0):
             raise ValueError("kernel has negative entries")
         rowsums = table.sum(axis=-1)
@@ -107,16 +85,6 @@ class Kernel:
             bad = np.argwhere(np.abs(rowsums - 1.0) > PROB_TOL)[0]
             raise ValueError(f"kernel row {tuple(bad)} sums to {rowsums[tuple(bad)]!r}")
         object.__setattr__(self, "table", table)
-        if self.input_alphabets is None:
-            object.__setattr__(
-                self, "input_alphabets", tuple(Alphabet(s) for s in table.shape[:-1])
-            )
-        elif tuple(a.size for a in self.input_alphabets) != table.shape[:-1]:
-            raise ValueError("input alphabets do not match table shape")
-        if self.output_alphabet is None:
-            object.__setattr__(self, "output_alphabet", Alphabet(table.shape[-1]))
-        elif self.output_alphabet.size != table.shape[-1]:
-            raise ValueError("output alphabet does not match table shape")
 
     @property
     def input_sizes(self) -> Tuple[int, ...]:
@@ -138,12 +106,13 @@ class TransitionMatrix:
     """A square row-stochastic matrix T[i, j] = P(next=j | current=i)."""
 
     entries: np.ndarray
-    state_alphabet: Optional[Alphabet] = None
 
     def __post_init__(self):
         entries = _frozen(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("transition matrix must be square")
+        if entries.shape[0] == 0:
+            raise ValueError("transition matrix has no states")
         if np.any(entries < 0):
             raise ValueError("transition matrix has negative entries")
         rowsums = entries.sum(axis=1)
@@ -151,10 +120,6 @@ class TransitionMatrix:
             i = int(np.argmax(np.abs(rowsums - 1.0)))
             raise ValueError(f"row {i} sums to {rowsums[i]!r}, not 1 within {PROB_TOL}")
         object.__setattr__(self, "entries", entries)
-        if self.state_alphabet is None:
-            object.__setattr__(self, "state_alphabet", Alphabet(entries.shape[0]))
-        elif self.state_alphabet.size != entries.shape[0]:
-            raise ValueError("state alphabet does not match matrix size")
 
     @property
     def size(self) -> int:
@@ -163,10 +128,9 @@ class TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class JointDist:
-    """A joint pmf over an ordered product of finite alphabets."""
+    """A joint pmf table with one axis per coordinate."""
 
     pmf: np.ndarray
-    alphabets: Optional[Tuple[Alphabet, ...]] = None
 
     def __post_init__(self):
         pmf = _frozen(self.pmf)
@@ -175,10 +139,6 @@ class JointDist:
         if abs(pmf.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"joint pmf sums to {pmf.sum()!r}")
         object.__setattr__(self, "pmf", pmf)
-        if self.alphabets is None:
-            object.__setattr__(self, "alphabets", tuple(Alphabet(s) for s in pmf.shape))
-        elif tuple(a.size for a in self.alphabets) != pmf.shape:
-            raise ValueError("alphabets do not match pmf shape")
 
     @property
     def arity(self) -> int:
@@ -187,17 +147,19 @@ class JointDist:
     def marginal(self, keep: Sequence[int]) -> "JointDist":
         """Marginal over the coordinates in `keep`, in the order given."""
         keep = list(keep)
+        if len(set(keep)) != len(keep) or not set(keep) <= set(range(self.pmf.ndim)):
+            raise ValueError(f"keep {keep} must name distinct coordinates "
+                             f"in [0, {self.pmf.ndim})")
         drop = tuple(i for i in range(self.pmf.ndim) if i not in keep)
         table = self.pmf.sum(axis=drop) if drop else self.pmf
         # after summing, axes sit in sorted-coordinate order; put them in `keep` order
         rank = np.argsort(np.argsort(keep))
         if list(rank) != list(range(len(keep))):
             table = np.transpose(table, axes=rank)
-        return JointDist(table, tuple(self.alphabets[i] for i in keep))
+        return JointDist(table)
 
     def permuted(self, order: Sequence[int]) -> "JointDist":
-        return JointDist(np.transpose(self.pmf, axes=order),
-                         tuple(self.alphabets[i] for i in order))
+        return JointDist(np.transpose(self.pmf, axes=order))
 
 
 @dataclass(frozen=True)
@@ -207,7 +169,6 @@ class ChainStructure:
     recurrent_classes: Tuple[frozenset, ...]
     is_unichain: bool
     is_aperiodic: bool
-    recurrent_set: Optional[frozenset] = None
 
 
 def entropy_table(p: np.ndarray) -> float:
@@ -270,7 +231,7 @@ def induced_transition(px: Dist, w: Kernel) -> TransitionMatrix:
     if px.size != nx:
         raise ValueError("input pmf does not match channel input alphabet")
     t = np.einsum("x,xij->ij", px.pmf, w.table)
-    return TransitionMatrix(t, w.output_alphabet)
+    return TransitionMatrix(t)
 
 
 def _successors(entries: np.ndarray) -> list:
@@ -360,16 +321,11 @@ def chain_structure(t: TransitionMatrix) -> ChainStructure:
             recurrent.append(sorted(comp))
     recurrent.sort()
     is_unichain = len(recurrent) == 1
-    is_aperiodic = False
-    recurrent_set = None
-    if is_unichain:
-        recurrent_set = frozenset(recurrent[0])
-        is_aperiodic = _class_period(adj, recurrent[0]) == 1
+    is_aperiodic = is_unichain and _class_period(adj, recurrent[0]) == 1
     return ChainStructure(
         recurrent_classes=tuple(frozenset(c) for c in recurrent),
         is_unichain=is_unichain,
         is_aperiodic=is_aperiodic,
-        recurrent_set=recurrent_set,
     )
 
 
@@ -390,7 +346,7 @@ def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
             f"aperiodic={structure.is_aperiodic}"
         )
     m = t.entries
-    rec = sorted(structure.recurrent_set)
+    rec = sorted(structure.recurrent_classes[0])
     # (T - I)^T on R, the diagonal taken from the off-diagonal sums so that
     # slow chains (T_ii near 1) keep their small rates exactly
     q = m[np.ix_(rec, rec)].T.copy()
@@ -402,7 +358,7 @@ def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
     pi = pi / pi.sum()
     if np.abs(pi @ m - pi).sum() > tol:
         raise ConvergenceError("equilibrium misses tolerance")
-    return Dist(pi, t.state_alphabet)
+    return Dist(pi)
 
 
 def lifted_transition(px: Dist, w: Kernel) -> TransitionMatrix:

@@ -24,7 +24,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .probability import (
-    Alphabet,
     AssumptionViolated,
     Dist,
     JointDist,
@@ -61,20 +60,19 @@ class InconsistentTarget(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class InnerCandidate:
-    """Factorized specification for the inner (achievability) bound."""
+    """Factorized specification for the inner (achievability) bound; |W| is
+    the output size of p_w_given_ux."""
 
     p_u: Dist
     p_x: Dist
     p_w_given_ux: Kernel     # table [u, x, w]
     channel: Kernel          # table [x, y_prev, y]
     p_v_given_yxw: Kernel    # table [y, x, w, v]
-    w_alphabet: Alphabet
 
     def __post_init__(self):
-        nu, nx, nw = self.p_u.size, self.p_x.size, self.w_alphabet.size
-        ny = self.channel.output_size
-        if self.p_w_given_ux.input_sizes != (nu, nx) or self.p_w_given_ux.output_size != nw:
-            raise ValueError("p_w_given_ux shape inconsistent with (U, X, W)")
+        nu, nx, nw, ny, _ = self.sizes
+        if self.p_w_given_ux.input_sizes != (nu, nx):
+            raise ValueError("p_w_given_ux shape inconsistent with (U, X)")
         if self.channel.input_sizes != (nx, ny):
             raise ValueError("channel must condition on (x, y_prev)")
         if self.p_v_given_yxw.input_sizes != (ny, nx, nw):
@@ -85,7 +83,7 @@ class InnerCandidate:
 
     @property
     def sizes(self) -> Tuple[int, int, int, int, int]:
-        return (self.p_u.size, self.p_x.size, self.w_alphabet.size,
+        return (self.p_u.size, self.p_x.size, self.p_w_given_ux.output_size,
                 self.channel.output_size, self.p_v_given_yxw.output_size)
 
     # Everything below is derived once per candidate and cached.
@@ -147,7 +145,8 @@ def _on_target(axes: Tuple[int, ...]) -> List[int]:
 
 @dataclass(frozen=True, eq=False)
 class OuterCandidate:
-    """Factorized specification for the outer (necessity) bound."""
+    """Factorized specification for the outer (necessity) bound; |W| is
+    the output size of p_w_given_uxyy."""
 
     p_u: Dist
     p_x: Dist
@@ -155,17 +154,16 @@ class OuterCandidate:
     channel: Kernel            # table [x, y_prev, y]
     p_w_given_uxyy: Kernel     # table [u, x, y, y_prev, w]
     p_v_given_yxw: Kernel      # table [y, x, w, v]
-    w_alphabet: Alphabet
 
     def __post_init__(self):
-        nu, nx, nw = self.p_u.size, self.p_x.size, self.w_alphabet.size
+        nu, nx, nw = self.p_u.size, self.p_x.size, self.p_w_given_uxyy.output_size
         ny = self.channel.output_size
         if self.channel.input_sizes != (nx, ny):
             raise ValueError("channel must condition on (x, y_prev)")
         if self.p_yprime_given_x.input_sizes != (nx,) or self.p_yprime_given_x.output_size != ny:
             raise ValueError("p_yprime_given_x shape inconsistent with (X, Y')")
-        if self.p_w_given_uxyy.input_sizes != (nu, nx, ny, ny) or self.p_w_given_uxyy.output_size != nw:
-            raise ValueError("p_w_given_uxyy shape inconsistent with (U, X, Y, Y', W)")
+        if self.p_w_given_uxyy.input_sizes != (nu, nx, ny, ny):
+            raise ValueError("p_w_given_uxyy shape inconsistent with (U, X, Y, Y')")
         if self.p_v_given_yxw.input_sizes != (ny, nx, nw):
             raise ValueError("p_v_given_yxw shape inconsistent with (Y, X, W)")
 
@@ -237,12 +235,11 @@ def embed_inner(c: InnerCandidate) -> OuterCandidate:
     p_yx = Kernel(np.tile(c.pi, (nx, 1)))
     pw = np.broadcast_to(
         c.p_w_given_ux.table[:, :, None, None, :],
-        (c.p_u.size, nx, ny, ny, c.w_alphabet.size),
+        (c.p_u.size, nx, ny, ny, c.p_w_given_ux.output_size),
     ).copy()
     return OuterCandidate(
         p_u=c.p_u, p_x=c.p_x, p_yprime_given_x=p_yx, channel=c.channel,
         p_w_given_uxyy=Kernel(pw), p_v_given_yxw=c.p_v_given_yxw,
-        w_alphabet=c.w_alphabet,
     )
 
 
@@ -351,7 +348,7 @@ def witness_w_equals_u(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
     pv = np.broadcast_to(cond_v[None, None, :, :], (ny, nx, nu, nv)).copy()
     return InnerCandidate(
         p_u=p_u, p_x=p_x, p_w_given_ux=Kernel(pw), channel=channel,
-        p_v_given_yxw=Kernel(pv), w_alphabet=Alphabet(nu),
+        p_v_given_yxw=Kernel(pv),
     )
 
 
@@ -375,7 +372,7 @@ def witness_w_copies_v(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
     pv = np.broadcast_to(np.eye(nv)[None, None, :, :], (ny, nx, nv, nv)).copy()
     return InnerCandidate(
         p_u=p_u, p_x=p_x, p_w_given_ux=Kernel(pw), channel=channel,
-        p_v_given_yxw=Kernel(pv), w_alphabet=Alphabet(nv),
+        p_v_given_yxw=Kernel(pv),
     )
 
 
@@ -523,7 +520,6 @@ def optimize_auxiliary(target: JointDist, w_size: Optional[int] = None,
     candidate = InnerCandidate(
         p_u=decomp.p_u, p_x=decomp.p_x, p_w_given_ux=Kernel(pw),
         channel=decomp.channel, p_v_given_yxw=Kernel(pv),
-        w_alphabet=Alphabet(w_size),
     )
     return candidate, inner_feasibility(candidate, target)
 
@@ -599,8 +595,7 @@ def _best_row_move(row, size, evaluate, current_score):
         vertex[k] = 1.0
         for step in _STEP_GRID:
             cand = (1.0 - step) * row + step * vertex
-            result = evaluate(cand)
-            score, extra = result if isinstance(result, tuple) else (result, None)
+            score, extra = evaluate(cand)
             if score > current_score + 1e-12 and (best is None or score > best[0]):
                 best = (score, cand, extra)
     return best

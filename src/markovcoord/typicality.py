@@ -21,7 +21,6 @@ from .probability import (
     JointDist,
     Kernel,
     chain_structure,
-    entropy,
     entropy_table,
     induced_transition,
     stationary_dist,

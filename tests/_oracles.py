@@ -38,7 +38,7 @@ def nested_loop_outer(c):
     """Six-fold loop assembly of the outer factorization."""
     nu, nx = c.p_u.size, c.p_x.size
     ny = c.channel.output_size
-    nw = c.w_alphabet.size
+    nw = c.p_w_given_uxyy.output_size
     nv = c.p_v_given_yxw.output_size
     out = np.zeros((nu, nx, nw, ny, ny, nv))
     for u in range(nu):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from markovcoord.probability import Alphabet, Dist, Kernel
+from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
 
 
@@ -27,7 +27,7 @@ def make_flip_candidate(p0, p1, a0, a1, vmix, u_pmf=(0.5, 0.5), x_pmf=(0.5, 0.5)
         p_u=Dist(np.asarray(u_pmf, dtype=float)),
         p_x=Dist(np.asarray(x_pmf, dtype=float)),
         p_w_given_ux=Kernel(pw), channel=Kernel(chan.table),
-        p_v_given_yxw=Kernel(pv), w_alphabet=Alphabet(2),
+        p_v_given_yxw=Kernel(pv),
     )
 
 

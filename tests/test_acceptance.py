@@ -12,7 +12,6 @@ import pytest
 from conftest import BLESSED, make_flip_candidate, random_channel_instance
 from _oracles import binary_grid_slack, nested_loop_inner, nested_loop_outer
 
-from markovcoord import kernels
 from markovcoord.codec import (
     Codebook,
     SchemeConfig,
@@ -29,7 +28,6 @@ from markovcoord.harness import (
     run_experiment,
 )
 from markovcoord.probability import (
-    Alphabet,
     Dist,
     JointDist,
     Kernel,
@@ -53,7 +51,6 @@ from markovcoord.region import (
 )
 from markovcoord.rng import derive_key, make_cdf, sample_from_cdf, uniforms
 from markovcoord.typicality import aep_audit, prop1_gaps, triplet_type
-from markovcoord.region import validate_target
 
 
 def _report(num, name, ok, detail):
@@ -191,7 +188,7 @@ def test_criterion_06_region_oracle_equivalence():
         px, chan = random_channel_instance(rng, 2, 2)
         cand = InnerCandidate(Dist(np.array([0.5, 0.5])), px,
                               random_kernel(rng, (2, 2), 2), chan,
-                              random_kernel(rng, (2, 2, 2), 2), Alphabet(2))
+                              random_kernel(rng, (2, 2, 2), 2))
         pi = stationary_dist(induced_transition(px, chan)).pmf
         max_inner = max(max_inner, float(np.abs(
             assemble_inner(cand).pmf - nested_loop_inner(cand, pi)).max()))
@@ -213,12 +210,11 @@ def test_criterion_06_region_oracle_equivalence():
     bsc[1, :, :] = [0.1, 0.9]
     cases = [
         ("decoder copies Y", InnerCandidate(base.p_u, base.p_x, base.p_w_given_ux,
-                                            base.channel, Kernel(pv_copy_y),
-                                            base.w_alphabet)),
+                                            base.channel, Kernel(pv_copy_y))),
         ("V = U", InnerCandidate(base.p_u, base.p_x, Kernel(ident), base.channel,
-                                 Kernel(copy_w), base.w_alphabet)),
+                                 Kernel(copy_w))),
         ("V = BSC(U)", InnerCandidate(base.p_u, base.p_x, Kernel(bsc), base.channel,
-                                      Kernel(copy_w), base.w_alphabet)),
+                                      Kernel(copy_w))),
     ]
     details = []
     worst = 0.0

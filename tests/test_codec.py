@@ -3,8 +3,8 @@ import pytest
 
 from conftest import BLESSED, make_flip_candidate
 
-from markovcoord.probability import Alphabet, Dist, Kernel
-from markovcoord.region import InnerCandidate, assemble_inner
+from markovcoord.probability import Dist, Kernel
+from markovcoord.region import InnerCandidate
 from markovcoord.rng import derive_key
 from markovcoord.codec import (
     Codebook,
@@ -92,13 +92,13 @@ def test_codeword_frequencies_follow_generation_law():
         assert abs(sel.mean() - p_w1_given_x[xv]) < 0.03
 
 
-def test_encode_block_degenerate_w_alphabet():
+def test_encode_block_degenerate_w():
     # |W| = 1: typicality reduces to the (u, x) pair type
     cand1 = InnerCandidate(
         Dist(np.array([0.5, 0.5])), Dist(np.array([0.5, 0.5])),
         Kernel(np.ones((2, 2, 1))),
         make_flip_candidate(0.2, 0.3, 0.1, 0.2, 0.1).channel,
-        Kernel(np.full((2, 2, 1, 2), 0.5)), Alphabet(1))
+        Kernel(np.full((2, 2, 1, 2), 0.5)))
     cb = Codebook(cand1, 200, 0.02, seed=1)
     u = np.zeros(200, dtype=np.int64)
     u[::2] = 1  # balanced source, pair type near product
@@ -122,6 +122,28 @@ def test_scan_limit_below_one_is_rejected(cand):
         with pytest.raises(ValueError, match="scan_limit"):
             encode_block(u, 0, cb, eps=100.0, scan_limit=bad)
     assert encode_block(u, 0, cb, eps=100.0, scan_limit=1) == 0
+
+
+def test_encode_block_rejects_out_of_range_source(cand):
+    cb = Codebook(cand, 60, 0.05, seed=2)
+    for bad in (2, -1):  # |U| = 2
+        u = np.zeros(60, dtype=np.int64)
+        u[7] = bad
+        with pytest.raises(ValueError, match="u_prev has symbols outside"):
+            encode_block(u, 0, cb, eps=0.3)
+
+
+@pytest.mark.parametrize("name", ["y_prev_block", "y_block", "y_boundary_states"])
+def test_decode_block_rejects_out_of_range_states(cand, name):
+    cb = Codebook(cand, 60, 0.05, seed=2)
+    y = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
+    good = {"y_prev_block": y, "y_block": y, "y_boundary_states": np.array([0, y[-1]])}
+    for bad in (2, 5, -1):  # |Y| = 2
+        args = dict(good, **{name: good[name].copy()})
+        args[name][-1] = bad
+        with pytest.raises(ValueError, match=f"{name} has symbols outside"):
+            decode_block(args["y_prev_block"], args["y_block"], 0, cb, 0.4,
+                         args["y_boundary_states"])
 
 
 def test_encode_block_returns_smallest_index(cand):

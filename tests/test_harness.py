@@ -1,6 +1,4 @@
-import copy
 import json
-import os
 
 import numpy as np
 import pytest
@@ -102,6 +100,7 @@ def test_validation_error_on_kind_and_sweep():
     ("region", ("options", "optimize"), "yes"),
     ("aep-audit", ("options", "audit_max_pairs"), -1),
     ("aep-audit", ("options", "audit_sample_size"), "10"),
+    ("simulate", ("instance", "v_given_yxw"), np.full((2, 2, 3, 2), 0.5).tolist()),
 ])
 def test_validation_error_names_bad_value(kind, path, value):
     # bad values fail at load, naming the field, instead of becoming error rows

@@ -7,7 +7,6 @@ from conftest import random_channel_instance, random_dist
 from _oracles import entropy_direct
 
 from markovcoord.probability import (
-    Alphabet,
     AssumptionViolated,
     Dist,
     JointDist,
@@ -25,12 +24,12 @@ from markovcoord.probability import (
 )
 
 
-def test_alphabet_validation():
-    assert Alphabet(3).size == 3
-    with pytest.raises(ValueError):
-        Alphabet(0)
-    with pytest.raises(ValueError):
-        Alphabet(2, labels=("a", "a"))
+def test_empty_axes_rejected():
+    for shape in [(2, 0, 2), (0, 2), (0, 0)]:
+        with pytest.raises(ValueError, match="empty conditioning axis"):
+            Kernel(np.zeros(shape))
+    with pytest.raises(ValueError, match="no states"):
+        TransitionMatrix(np.zeros((0, 0)))
 
 
 def test_dist_validation():
@@ -156,7 +155,7 @@ def test_chain_structure_examples():
 
     s = chain_structure(TransitionMatrix(np.full((3, 3), 1.0 / 3)))
     assert s.is_unichain and s.is_aperiodic
-    assert s.recurrent_set == frozenset({0, 1, 2})
+    assert s.recurrent_classes == (frozenset({0, 1, 2}),)
 
     swap = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     s = chain_structure(swap)
@@ -172,7 +171,7 @@ def test_chain_structure_transient_states():
     ]))
     s = chain_structure(t)
     assert s.is_unichain and s.is_aperiodic
-    assert s.recurrent_set == frozenset({1, 2})
+    assert s.recurrent_classes == (frozenset({1, 2}),)
 
 
 def test_stationary_examples():
@@ -202,7 +201,7 @@ def test_stationary_requires_assumption():
         stationary_dist(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
-def test_stationary_supported_on_recurrent_set():
+def test_stationary_supported_on_recurrent_class():
     t = TransitionMatrix(np.array([
         [0.5, 0.5, 0.0],
         [0.0, 0.3, 0.7],
@@ -270,3 +269,6 @@ def test_marginal_order_and_consistency():
     m = j.marginal([2, 0])
     assert np.allclose(m.pmf, p.sum(axis=1).T, atol=1e-15)
     assert np.allclose(j.marginal([0, 1, 2]).pmf, p, atol=1e-15)
+    for keep in ([3], [0, 0], [-1]):
+        with pytest.raises(ValueError, match="distinct coordinates"):
+            j.marginal(keep)

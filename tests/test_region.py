@@ -5,7 +5,6 @@ from conftest import make_flip_candidate, random_channel_instance, random_kernel
 from _oracles import binary_grid_slack, nested_loop_inner, nested_loop_outer
 
 from markovcoord.probability import (
-    Alphabet,
     AssumptionViolated,
     Dist,
     JointDist,
@@ -39,7 +38,7 @@ def _const_w_candidate(channel, pv_given_yx):
     ny, nx, nv = pv_given_yx.shape
     pw = Kernel(np.ones((2, 2, 1)))
     pv = Kernel(pv_given_yx[:, :, None, :])
-    return InnerCandidate(UNIF2, UNIF2, pw, channel, pv, Alphabet(1))
+    return InnerCandidate(UNIF2, UNIF2, pw, channel, pv)
 
 
 def _noiseless_channel():
@@ -63,8 +62,7 @@ def test_assemble_inner_matches_nested_loop_oracle():
             p_u=UNIF2, p_x=px,
             p_w_given_ux=random_kernel(rng, (2, 2), 2),
             channel=chan,
-            p_v_given_yxw=random_kernel(rng, (2, 2, 2), 2),
-            w_alphabet=Alphabet(2))
+            p_v_given_yxw=random_kernel(rng, (2, 2, 2), 2))
         pi = stationary_dist(induced_transition(px, chan)).pmf
         expect = nested_loop_inner(cand, pi)
         got = assemble_inner(cand).pmf
@@ -81,8 +79,7 @@ def test_assemble_outer_matches_nested_loop_oracle():
             p_yprime_given_x=random_kernel(rng, (2,), 2),
             channel=chan,
             p_w_given_uxyy=random_kernel(rng, (2, 2, 2, 2), 2),
-            p_v_given_yxw=random_kernel(rng, (2, 2, 2), 2),
-            w_alphabet=Alphabet(2))
+            p_v_given_yxw=random_kernel(rng, (2, 2, 2), 2))
         expect = nested_loop_outer(cand)
         got = assemble_outer(cand).pmf
         assert np.abs(got - expect).max() <= 1e-12
@@ -107,7 +104,7 @@ def test_noiseless_channel_w_equals_u_slack_zero():
     for u in range(2):
         pw[u, :, u] = 1.0
     pv = np.broadcast_to(np.eye(2)[None, None], (2, 2, 2, 2)).copy()
-    cand = InnerCandidate(UNIF2, UNIF2, Kernel(pw), chan, Kernel(pv), Alphabet(2))
+    cand = InnerCandidate(UNIF2, UNIF2, Kernel(pw), chan, Kernel(pv))
     target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
     rep = inner_feasibility(cand, target)
     assert rep.i_channel == pytest.approx(1.0, abs=1e-9)
@@ -123,12 +120,33 @@ def test_state_only_channel_w_equals_u_infeasible():
     for u in range(2):
         pw[u, :, u] = 1.0
     pv = np.broadcast_to(np.eye(2)[None, None], (2, 2, 2, 2)).copy()
-    cand = InnerCandidate(UNIF2, UNIF2, Kernel(pw), chan, Kernel(pv), Alphabet(2))
+    cand = InnerCandidate(UNIF2, UNIF2, Kernel(pw), chan, Kernel(pv))
     target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
     rep = inner_feasibility(cand, target)
     assert rep.i_channel == pytest.approx(0.0, abs=1e-9)
     assert rep.slack == pytest.approx(-1.0, abs=1e-9)
     assert not rep.feasible
+
+
+def test_candidates_reject_inconsistent_shapes():
+    cand = make_flip_candidate(0.2, 0.3, 0.1, 0.35, 0.15)
+    pw, chan, pv = cand.p_w_given_ux, cand.channel, cand.p_v_given_yxw
+    pv_w3 = Kernel(np.full((2, 2, 3, 2), 0.5))  # |W| = 3 against pw's 2
+    with pytest.raises(ValueError, match="p_v_given_yxw"):
+        InnerCandidate(UNIF2, UNIF2, pw, chan, pv_w3)
+    x3 = Dist(np.full(3, 1 / 3))  # |X| = 3 against the channel's 2
+    with pytest.raises(ValueError, match="channel"):
+        InnerCandidate(UNIF2, x3, Kernel(np.full((2, 3, 2), 0.5)), chan,
+                       Kernel(np.full((2, 3, 2, 2), 0.5)))
+    py = Kernel(np.full((2, 2), 0.5))
+    pw_w3 = Kernel(np.full((2, 2, 2, 2, 3), 1 / 3))
+    with pytest.raises(ValueError, match="p_v_given_yxw"):
+        OuterCandidate(UNIF2, UNIF2, py, chan, pw_w3, pv)
+    with pytest.raises(ValueError, match="channel"):
+        OuterCandidate(UNIF2, x3, Kernel(np.full((3, 2), 0.5)), chan,
+                       Kernel(np.full((2, 3, 2, 2, 2), 0.5)),
+                       Kernel(np.full((2, 3, 2, 2), 0.5)))
+    OuterCandidate(UNIF2, UNIF2, py, chan, pw_w3, pv_w3)  # consistent |W| = 3
 
 
 def test_candidate_requires_unichain_assumption():
@@ -137,7 +155,7 @@ def test_candidate_requires_unichain_assumption():
     swap[:, 1, 0] = 1.0  # period-2 output chain for every input
     with pytest.raises(AssumptionViolated):
         InnerCandidate(UNIF2, UNIF2, Kernel(np.ones((2, 2, 1))), Kernel(swap),
-                       Kernel(np.full((2, 2, 1, 2), 0.5)), Alphabet(1))
+                       Kernel(np.full((2, 2, 1, 2), 0.5)))
 
 
 def test_inner_embeds_into_outer_with_identical_slack():
@@ -146,7 +164,7 @@ def test_inner_embeds_into_outer_with_identical_slack():
         px, chan = random_channel_instance(rng, 2, 2)
         cand = InnerCandidate(
             UNIF2, px, random_kernel(rng, (2, 2), 2), chan,
-            random_kernel(rng, (2, 2, 2), 2), Alphabet(2))
+            random_kernel(rng, (2, 2, 2), 2))
         target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
         inner_rep = inner_feasibility(cand, target)
         outer_rep = outer_feasibility(embed_inner(cand), target)
@@ -178,7 +196,7 @@ def test_slack_invariant_under_w_relabeling():
     permuted = InnerCandidate(
         cand.p_u, cand.p_x,
         Kernel(cand.p_w_given_ux.table[:, :, perm]), cand.channel,
-        Kernel(cand.p_v_given_yxw.table[:, :, perm, :]), cand.w_alphabet)
+        Kernel(cand.p_v_given_yxw.table[:, :, perm, :]))
     rep2 = inner_feasibility(permuted, target)
     assert rep2.slack == pytest.approx(rep.slack, abs=1e-12)
     assert rep2.marginal_gap == pytest.approx(rep.marginal_gap, abs=1e-12)
@@ -224,7 +242,7 @@ def test_optimizer_trivial_target_reaches_channel_info():
     # V = f(Y): constant W attains slack = I(X;Y|Y')
     cand = make_flip_candidate(0.2, 0.3, 0.1, 0.35, 0.15)
     cand = InnerCandidate(cand.p_u, cand.p_x, cand.p_w_given_ux, cand.channel,
-                          _decoder_copies_y(), cand.w_alphabet)
+                          _decoder_copies_y())
     target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
     _, rep = optimize_auxiliary(target, w_size=2, budget=15, seed=0, starts=6)
     assert rep.marginal_gap <= 1e-6
@@ -236,18 +254,17 @@ def test_optimizer_matches_grid_oracle_on_binary_instances():
     cases = []
     base = make_flip_candidate(0.25, 0.29, 0.1, 0.9, 0.0)
     cases.append(InnerCandidate(base.p_u, base.p_x, base.p_w_given_ux,
-                                base.channel, _decoder_copies_y(),
-                                base.w_alphabet))           # V = Y
+                                base.channel, _decoder_copies_y()))  # V = Y
     ident = np.zeros((2, 2, 2))
     ident[0, :, 0] = ident[1, :, 1] = 1.0
     copy_w = np.broadcast_to(np.eye(2)[None, None], (2, 2, 2, 2)).copy()
     cases.append(InnerCandidate(base.p_u, base.p_x, Kernel(ident), base.channel,
-                                Kernel(copy_w), base.w_alphabet))  # V = U
+                                Kernel(copy_w)))  # V = U
     bsc = np.zeros((2, 2, 2))
     bsc[0, :, :] = [0.9, 0.1]
     bsc[1, :, :] = [0.1, 0.9]
     cases.append(InnerCandidate(base.p_u, base.p_x, Kernel(bsc), base.channel,
-                                Kernel(copy_w), base.w_alphabet))  # V = BSC(U)
+                                Kernel(copy_w)))  # V = BSC(U)
 
     for cand in cases:
         target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
@@ -289,7 +306,7 @@ def test_optimizer_default_w_size_is_source_times_input():
     cand = make_flip_candidate(0.2, 0.3, 0.1, 0.3, 0.1)
     target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
     best, rep = optimize_auxiliary(target, budget=3, starts=2)
-    assert best.w_alphabet.size == 4  # |U| * |X|
+    assert best.p_w_given_ux.output_size == 4  # |U| * |X|
     assert rep.marginal_gap <= 1e-6
 
 
@@ -316,7 +333,7 @@ def test_separation_slack_noiseless_channel_v_copies_u():
     p_uv = JointDist(np.diag([0.5, 0.5]))  # V = U uniform
     chan = _noiseless_channel()
     cand = InnerCandidate(UNIF2, UNIF2, Kernel(np.ones((2, 2, 1))), chan,
-                          Kernel(np.full((2, 2, 1, 2), 0.5)), Alphabet(1))
+                          Kernel(np.full((2, 2, 1, 2), 0.5)))
     p_xyy = assemble_inner(cand).marginal([1, 3, 4])
     assert separation_slack(p_uv, p_xyy) == pytest.approx(0.0, abs=1e-9)
 
