@@ -55,7 +55,6 @@ from .codec import (
     channel_block,
     decode_block,
     encode_block,
-    gen_codebook,
     run_scheme,
 )
 

@@ -32,6 +32,7 @@ from .typicality import FullType, _check_seq, full_type, triplet_type
 
 MEMORY_GUARD_CELLS = 10 ** 8
 DEFAULT_SCAN_LIMIT = 1 << 16  # covering-search cap when 2^{nR} is astronomical
+_COVER_CHUNK_FIRST, _COVER_CHUNK_MAX = 8, 512  # covering rows per pass, doubling
 
 _TAG_X, _TAG_W, _TAG_U, _TAG_CHAN, _TAG_V, _TAG_ROW = 1, 2, 3, 4, 5, 6
 
@@ -93,17 +94,13 @@ class SchemeConfig:
         ny = self.candidate.channel.output_size
         if not 0 <= self.y0 < ny:
             raise ValueError("y0 outside the state alphabet")
-        i_aux, i_chan = self.info_bounds()
+        i_aux, i_chan = self.candidate.i_auxiliary, self.candidate.i_channel
         if not i_aux <= self.rate <= i_chan:
             warnings.warn(
                 f"rate {self.rate:.4f} outside the coding window "
                 f"[I(U;W|X)={i_aux:.4f}, I(X;Y|Y')={i_chan:.4f}]",
                 stacklevel=2,
             )
-
-    def info_bounds(self) -> Tuple[float, float]:
-        """(I(U;W|X), I(X;Y|Y')) of the candidate, the rate window ends."""
-        return self.candidate.i_auxiliary, self.candidate.i_channel
 
     @property
     def m_count(self) -> int:
@@ -117,10 +114,10 @@ class SchemeConfig:
 class Codebook:
     """Random code {X^n(m), W^n(m, m_hat)} generated from a seed.
 
-    Codewords are functions of (seed, index) alone, so any word can be
-    regenerated on demand; `x_words` / `w_words` hold materialized tables
-    when requested and within the memory guard, and lazy access otherwise
-    produces bit-identical symbols.
+    Codewords are functions of (seed, index) alone, so any index subset
+    generates the same rows as a full table.  `x_words` holds the channel
+    codeword table once `materialize_x` has built it within the memory
+    guard; auxiliary words are generated per index on demand.
     """
 
     def __init__(self, candidate: InnerCandidate, n: int, rate: float, seed: int):
@@ -130,7 +127,6 @@ class Codebook:
         self.seed = seed
         self.m_count = message_count(n, rate)
         self.x_words: Optional[np.ndarray] = None
-        self.w_words: Optional[np.ndarray] = None
         self._x_cdf = make_cdf(candidate.p_x.pmf)[None, :]
         self._w_cdf = make_cdf(candidate.p_w_given_x)
         self._key_x = derive_key(seed, _TAG_X)
@@ -149,17 +145,17 @@ class Codebook:
             return self.x_words[m]
         return self.x_rows(m, m + 1)[0]
 
-    def w_rows(self, m: int, lo: int, hi: int) -> np.ndarray:
-        """Auxiliary codewords W^n(m, m_hat) for m_hat in lo..hi-1."""
-        if self.w_words is not None and lo == 0 and hi == self.m_count:
-            return self.w_words[m]
+    def w_rows_at(self, m: int, idx: np.ndarray) -> np.ndarray:
+        """Auxiliary codewords W^n(m, m_hat) for m_hat in idx, shape (len(idx), n)."""
         row_key = derive_key(self._key_w, _TAG_ROW, m)
-        keys = derive_keys(row_key, np.arange(lo, hi, dtype=np.int64))
+        keys = derive_keys(row_key, np.asarray(idx, dtype=np.int64))
         return kernels.word_symbols(keys, self.x_word(m), self._w_cdf)
 
+    def w_rows(self, m: int, lo: int, hi: int) -> np.ndarray:
+        """Auxiliary codewords W^n(m, m_hat) for m_hat in lo..hi-1."""
+        return self.w_rows_at(m, np.arange(lo, hi, dtype=np.int64))
+
     def w_word(self, m: int, m_hat: int) -> np.ndarray:
-        if self.w_words is not None:
-            return self.w_words[m, m_hat]
         return self.w_rows(m, m_hat, m_hat + 1)[0]
 
     def materialize_x(self) -> None:
@@ -170,24 +166,6 @@ class Codebook:
                 f"x table needs {self.m_count * self.n} cells "
                 f"(guard {MEMORY_GUARD_CELLS})")
         self.x_words = self.x_rows(0, self.m_count)
-
-    def materialize_w(self) -> None:
-        if self.w_words is not None:
-            return
-        if self.m_count ** 2 * self.n > MEMORY_GUARD_CELLS:
-            raise MemoryGuard(
-                f"w table needs {self.m_count ** 2 * self.n} cells "
-                f"(guard {MEMORY_GUARD_CELLS})")
-        self.materialize_x()
-        self.w_words = np.stack(
-            [self.w_rows(m, 0, self.m_count) for m in range(self.m_count)])
-
-
-def gen_codebook(cfg: SchemeConfig) -> Codebook:
-    """Materialize the full codebook tables (both memory guards enforced)."""
-    cb = Codebook(cfg.candidate, cfg.n, cfg.rate, cfg.seed)
-    cb.materialize_w()
-    return cb
 
 
 def _cover_gaps(candidate: InnerCandidate, u_prev: np.ndarray, x_prev: np.ndarray,
@@ -206,25 +184,29 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     When 2^{nR} exceeds the scan limit (DEFAULT_SCAN_LIMIT when None)
     only the first `scan_limit` candidates are examined, so None then
     means "no hit in the scanned prefix" rather than a certified covering
-    failure.
+    failure.  The scan reads 8 rows first and doubles its chunk up to 512,
+    so a shallow hit generates few words.
     """
     if scan_limit is None:
         scan_limit = DEFAULT_SCAN_LIMIT
     elif scan_limit < 1:
         raise ValueError("scan_limit must be >= 1")
+    if not 0 <= m_prev < cb.m_count:
+        raise ValueError("m_prev outside [0, m_count)")
     n = cb.n
     x_prev = cb.x_word(m_prev)
     u_prev = _check_seq(u_prev, cb.candidate.p_u.size, "u_prev")
     if u_prev.size != n:
         raise ValueError("source block length does not match n")
     limit = min(cb.m_count, scan_limit)
-    chunk = 512
-    for lo in range(0, limit, chunk):
+    lo, chunk = 0, _COVER_CHUNK_FIRST
+    while lo < limit:
         hi = min(lo + chunk, limit)
         gaps = _cover_gaps(cb.candidate, u_prev, x_prev, cb.w_rows(m_prev, lo, hi), n)
         hits = np.nonzero(gaps <= eps)[0]
         if hits.size:
             return lo + int(hits[0])
+        lo, chunk = hi, min(2 * chunk, _COVER_CHUNK_MAX)
     return None
 
 
@@ -239,7 +221,10 @@ def channel_block(x_block: np.ndarray, y_init: int, channel: Kernel,
 
 
 def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
-                 m_prev: int, boundary_prev: int, boundary_cur: int):
+                 m_prev: int, boundary_prev: int, boundary_cur: int, eps: float):
+    """(gaps1, gaps2) of every index under the two decoder conditions;
+    condition 2 is counted only where condition 1 passes (gaps2 = inf
+    elsewhere), so the decision (gaps1 <= eps) & (gaps2 <= eps) is unchanged."""
     candidate = cb.candidate
     nu, nx, nw, ny, nv = candidate.sizes
     n = cb.n
@@ -250,12 +235,15 @@ def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
                                     ny * nx * ny)
     gaps1 = np.abs(counts1 / n - candidate.decode_target1.ravel()).sum(axis=1)
     # condition 2: (y_prev, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W
-    x_prev = cb.x_word(m_prev)
-    yprev_prev = np.concatenate([[boundary_prev], y_prev[:-1]])
-    base2 = ((yprev_prev * nx + x_prev) * nw) * ny + y_prev
-    counts2 = kernels.offset_counts(cb.w_rows(m_prev, 0, cb.m_count), base2, ny,
-                                    ny * nx * nw * ny)
-    gaps2 = np.abs(counts2 / n - candidate.decode_target2.ravel()).sum(axis=1)
+    idx = np.flatnonzero(gaps1 <= eps)
+    gaps2 = np.full(cb.m_count, np.inf)
+    if idx.size:
+        x_prev = cb.x_word(m_prev)
+        yprev_prev = np.concatenate([[boundary_prev], y_prev[:-1]])
+        base2 = ((yprev_prev * nx + x_prev) * nw) * ny + y_prev
+        counts2 = kernels.offset_counts(cb.w_rows_at(m_prev, idx), base2, ny,
+                                        ny * nx * nw * ny)
+        gaps2[idx] = np.abs(counts2 / n - candidate.decode_target2.ravel()).sum(axis=1)
     return gaps1, gaps2
 
 
@@ -270,13 +258,18 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     connecting auxiliary word.  y_boundary_states supplies the y' values
     at t=1 of the previous and current block (threaded channel states).
     """
+    if not 0 <= m_tilde_prev < cb.m_count:
+        raise ValueError("m_tilde_prev outside [0, m_count)")
     ny = cb.candidate.channel.output_size
     y_prev_block = _check_seq(y_prev_block, ny, "y_prev_block")
     y_block = _check_seq(y_block, ny, "y_block")
+    for name, block in (("y_prev_block", y_prev_block), ("y_block", y_block)):
+        if block.size != cb.n:
+            raise ValueError(f"{name} length {block.size} does not match n={cb.n}")
     boundary_prev, boundary_cur = _check_seq(y_boundary_states, ny, "y_boundary_states")
     cb.materialize_x()
     gaps1, gaps2 = _decode_gaps(cb, y_prev_block, y_block, m_tilde_prev,
-                                boundary_prev, boundary_cur)
+                                boundary_prev, boundary_cur, eps)
     hits = np.nonzero((gaps1 <= eps) & (gaps2 <= eps))[0]
     if hits.size == 0:
         return DecodeResult(DecodeStatus.NONE, None, 0)
@@ -447,7 +440,7 @@ def joint_packing_event(candidate: InnerCandidate, n: int, rate: float,
                            derive_key(seed, _TAG_CHAN, 0))
     y_cur = channel_block(cb.x_word(m_true), int(y_prev[-1]), candidate.channel,
                           derive_key(seed, _TAG_CHAN, 1))
-    gaps1, gaps2 = _decode_gaps(cb, y_prev, y_cur, m_prev, y0, int(y_prev[-1]))
+    gaps1, gaps2 = _decode_gaps(cb, y_prev, y_cur, m_prev, y0, int(y_prev[-1]), eps)
     passing = (gaps1 <= eps) & (gaps2 <= eps)
     passing[m_true] = False
     wrong = int(passing.sum())

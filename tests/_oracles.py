@@ -193,3 +193,26 @@ def offset_counts_loop(words, base, stride, ncells):
         for t, s in enumerate(word):
             out[m, base[t] + s * stride] += 1
     return out
+
+
+def packing_decode_full_table(cb, y_prev, y_cur, m_prev, boundaries, eps):
+    """Indices passing both packing-decoder conditions, with condition 2
+    counted over the full auxiliary row W(m_prev, 0..m_count-1)."""
+    cand = cb.candidate
+    _, nx, nw, ny, _ = cand.sizes
+    n, m_count = cb.n, cb.m_count
+    rows = np.arange(m_count)[:, None]
+    x_all = cb.x_rows(0, m_count)
+    yp_cur = np.concatenate([[boundaries[1]], y_cur[:-1]])
+    c1 = np.zeros((m_count, ny, nx, ny), dtype=np.int64)
+    np.add.at(c1, (rows, yp_cur[None, :], x_all, y_cur[None, :]), 1)
+    gaps1 = np.abs(c1.reshape(m_count, -1) / n
+                   - cand.decode_target1.ravel()).sum(axis=1)
+    w_all = cb.w_rows(m_prev, 0, m_count)
+    x_prev = x_all[m_prev]
+    yp_prev = np.concatenate([[boundaries[0]], y_prev[:-1]])
+    c2 = np.zeros((m_count, ny, nx, nw, ny), dtype=np.int64)
+    np.add.at(c2, (rows, yp_prev[None, :], x_prev[None, :], w_all, y_prev[None, :]), 1)
+    gaps2 = np.abs(c2.reshape(m_count, -1) / n
+                   - cand.decode_target2.ravel()).sum(axis=1)
+    return np.flatnonzero((gaps1 <= eps) & (gaps2 <= eps))

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from _oracles import packing_decode_full_table
 from conftest import BLESSED, make_flip_candidate
 
 from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
 from markovcoord.rng import derive_key
+from markovcoord import codec
 from markovcoord.codec import (
+    _TAG_CHAN,
+    _cover_gaps,
     Codebook,
     DecodeStatus,
     MemoryGuard,
@@ -14,7 +18,6 @@ from markovcoord.codec import (
     channel_block,
     decode_block,
     encode_block,
-    gen_codebook,
     joint_packing_event,
     message_count,
     run_scheme,
@@ -43,34 +46,41 @@ def test_scheme_config_validation(cand):
 
 
 def test_codebook_determinism_and_lazy_equivalence(cand):
-    cfg = SchemeConfig(candidate=cand, n=40, num_blocks=3, rate=0.1, eps=0.3,
-                       seed=13)
-    cb1 = gen_codebook(cfg)
-    cb2 = gen_codebook(cfg)
+    # any index subset, on any codebook built from the same seed, gives the
+    # same rows as the full tables
+    cb1 = Codebook(cand, 40, 0.1, seed=13)
+    cb1.materialize_x()
+    cb2 = Codebook(cand, 40, 0.1, seed=13)
+    cb2.materialize_x()
     assert np.array_equal(cb1.x_words, cb2.x_words)
-    assert np.array_equal(cb1.w_words, cb2.w_words)
 
-    lazy = Codebook(cand, cfg.n, cfg.rate, cfg.seed)
-    for m in (0, 1, cb1.m_count - 1):
+    lazy = Codebook(cand, 40, 0.1, seed=13)  # 16 codewords
+    last = cb1.m_count - 1
+    assert np.array_equal(lazy.x_rows(2, 7), cb1.x_words[2:7])
+    rng = np.random.default_rng(0)
+    for m in (0, 1, last):
         assert np.array_equal(lazy.x_word(m), cb1.x_words[m])
-        for mh in (0, cb1.m_count // 2):
-            assert np.array_equal(lazy.w_word(m, mh), cb1.w_words[m, mh])
-    assert np.array_equal(lazy.w_rows(1, 0, cb1.m_count), cb1.w_words[1])
+        full = cb2.w_rows(m, 0, cb1.m_count)
+        for size in (0, 1, 7, cb1.m_count):  # shuffled index subsets
+            idx = rng.permutation(cb1.m_count)[:size]
+            sub = lazy.w_rows_at(m, idx)
+            assert sub.shape == (size, 40)
+            assert np.array_equal(sub, full[idx])
+        for mh in (0, last // 2):
+            assert np.array_equal(lazy.w_word(m, mh), full[mh])
+        assert np.array_equal(lazy.w_rows(m, 2, 7), full[2:7])
 
 
 def test_codebook_zero_rate_single_word(cand):
-    with pytest.warns(UserWarning, match="rate"):
-        cfg = SchemeConfig(candidate=cand, n=20, num_blocks=3, rate=0.0, eps=0.3)
-    cb = gen_codebook(cfg)
+    cb = Codebook(cand, 20, 0.0, seed=0)
+    cb.materialize_x()
     assert cb.m_count == 1
     assert cb.x_words.shape == (1, 20)
-    assert cb.w_words.shape == (1, 1, 20)
+    assert cb.w_rows(0, 0, 1).shape == (1, 20)
 
 
 def test_codebook_memory_guard(cand):
     cb = Codebook(cand, 300, 0.1, seed=0)  # m_count ~ 2^30
-    with pytest.raises(MemoryGuard):
-        cb.materialize_w()
     with pytest.raises(MemoryGuard):
         cb.materialize_x()
 
@@ -146,13 +156,191 @@ def test_decode_block_rejects_out_of_range_states(cand, name):
                          args["y_boundary_states"])
 
 
+def test_encode_block_rejects_out_of_range_message_index(cand):
+    cb = Codebook(cand, 60, 0.05, seed=2)  # 8 codewords
+    u = np.zeros(60, dtype=np.int64)
+    for bad in (-1, cb.m_count, 100):
+        with pytest.raises(ValueError, match=r"m_prev outside \[0, m_count\)"):
+            encode_block(u, bad, cb, eps=0.3)
+
+
+def test_decode_block_rejects_out_of_range_message_index(cand):
+    cb = Codebook(cand, 60, 0.05, seed=2)
+    y = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
+    for bad in (-1, cb.m_count, 100):
+        with pytest.raises(ValueError,
+                           match=r"m_tilde_prev outside \[0, m_count\)"):
+            decode_block(y, y, bad, cb, 0.4, (0, int(y[-1])))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("name", ["y_prev_block", "y_block"])
+def test_decode_block_rejects_wrong_block_length(cand, name, delta):
+    cb = Codebook(cand, 60, 0.05, seed=2)
+    y = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
+    blocks = {"y_prev_block": y, "y_block": y}
+    blocks[name] = channel_block(np.zeros(60 + delta, dtype=np.int64), 0,
+                                 cand.channel, derive_key(4, 1))
+    with pytest.raises(ValueError, match=f"{name} length {60 + delta} does not match n=60"):
+        decode_block(blocks["y_prev_block"], blocks["y_block"], 0, cb, 0.4,
+                     (0, int(y[-1])))
+
+
+def test_encode_block_matches_full_table_smallest_hit(cand):
+    # hit depths 0..3, 10, 30, 225, 376, 486 and none; the limits end inside
+    # and on the edges of the first 8-row and the doubled 16-row chunk
+    cb = Codebook(cand, 100, 0.1, seed=4)  # 1024 codewords
+    depths = set()
+    for m_prev in (0, 5):
+        full = cb.w_rows(m_prev, 0, cb.m_count)
+        for s in range(4):
+            u = np.random.default_rng(s).integers(0, 2, 100)
+            gaps = _cover_gaps(cand, u, cb.x_word(m_prev), full, 100)
+            for eps in (0.08, 0.1, 0.12, 0.15, 0.2):
+                hits = np.flatnonzero(gaps <= eps)
+                depths.add(int(hits[0]) if hits.size else None)
+                for limit in (1, 7, 8, 9, 24, 25, 1000, None):
+                    cut = cb.m_count if limit is None else limit
+                    inside = hits[hits < cut]
+                    expect = int(inside[0]) if inside.size else None
+                    assert encode_block(u, m_prev, cb, eps, limit) == expect
+    assert {0, 10, 30, 486, None} <= depths
+
+
+def test_encode_block_chunks_tile_the_scan(cand):
+    # a scan without a hit reads 8 rows, then doubles up to 512 rows per
+    # chunk, covering [0, limit) with no gap or overlap
+    cb = Codebook(cand, 60, 0.2, seed=1)  # 4096 codewords
+    spans = []
+    w_rows = cb.w_rows
+
+    def recorded(m, lo, hi):
+        spans.append((lo, hi))
+        return w_rows(m, lo, hi)
+
+    cb.w_rows = recorded
+    u = np.zeros(60, dtype=np.int64)
+    for limit, ends in ((1, [1]), (24, [8, 24]),
+                        (2000, [8, 24, 56, 120, 248, 504, 1016, 1528, 2000])):
+        spans.clear()
+        assert encode_block(u, 0, cb, -1.0, limit) is None
+        assert spans == list(zip([0] + ends[:-1], ends))
+
+
+def _two_blocks(cb, m_prev, m_true, y0, seed):
+    y_prev = channel_block(cb.x_word(m_prev), y0, cb.candidate.channel,
+                           derive_key(seed, _TAG_CHAN, 0))
+    y_cur = channel_block(cb.x_word(m_true), int(y_prev[-1]), cb.candidate.channel,
+                          derive_key(seed, _TAG_CHAN, 1))
+    return y_prev, y_cur
+
+
+def _assert_decode_matches_full_table(cb, y_prev, y_cur, m_prev, y0, eps):
+    bounds = (y0, int(y_prev[-1]))
+    passing = packing_decode_full_table(cb, y_prev, y_cur, m_prev, bounds, eps)
+    res = decode_block(y_prev, y_cur, m_prev, cb, eps, bounds)
+    if passing.size == 1:
+        assert res.status is DecodeStatus.OK and res.index == int(passing[0])
+    else:
+        status = DecodeStatus.NONE if passing.size == 0 else DecodeStatus.AMBIGUOUS
+        assert res.status is status and res.index is None
+    assert res.n_candidates == passing.size
+    return res
+
+
+def test_packing_decode_matches_full_table_oracle(cand):
+    statuses = set()
+    for rate in (0.02, 0.05, 0.1):
+        for seed in range(4):
+            for eps in (0.24, 0.4, 0.8):
+                cb = Codebook(cand, 100, rate, seed=seed)
+                cb.materialize_x()
+                m_prev = seed % cb.m_count
+                m_true = (3 * seed + 1) % cb.m_count
+                y_prev, y_cur = _two_blocks(cb, m_prev, m_true, 0, seed)
+                res = _assert_decode_matches_full_table(cb, y_prev, y_cur,
+                                                        m_prev, 0, eps)
+                statuses.add(res.status)
+                # the packing-probe event on the same codebook and seed
+                y_prev, y_cur = _two_blocks(cb, 0, 1, 0, seed)
+                passing = packing_decode_full_table(
+                    cb, y_prev, y_cur, 0, (0, int(y_prev[-1])), eps)
+                wrong = int((passing != 1).sum())
+                assert joint_packing_event(cand, 100, rate, eps, 0, seed) == {
+                    "event": wrong > 0, "m_count": cb.m_count,
+                    "wrong_candidates": wrong}
+    assert statuses == set(DecodeStatus)
+
+
+def _collide_w(cb):
+    # W(0, 1) becomes W(0, 0); every other auxiliary word is unchanged
+    orig = cb.w_rows_at
+
+    def collided(m, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        return orig(m, np.where((m == 0) & (idx == 1), 0, idx))
+
+    cb.w_rows_at = collided
+
+
+def test_packing_decode_forced_collision_matches_full_table_oracle(cand):
+    for seed in range(3):
+        cb = Codebook(cand, 200, 0.04, seed=seed)
+        cb.materialize_x()
+        cb.x_words[1] = cb.x_words[0]
+        _collide_w(cb)
+        assert np.array_equal(cb.w_word(0, 1), cb.w_word(0, 0))
+        y_prev, y_cur = _two_blocks(cb, 0, 0, 0, 9 + seed)
+        res = _assert_decode_matches_full_table(cb, y_prev, y_cur, 0, 0, 0.4)
+        assert res.status is DecodeStatus.AMBIGUOUS
+
+
+def test_run_scheme_generates_w_rows_only_for_survivors(cand, monkeypatch):
+    # decoding plus the output stage generate at most (condition-1 survivors
+    # + 1) auxiliary rows per decoded block; the covering scan is counted apart
+    rows = {"all": 0, "cover": 0, "survivors": 0}
+    w_rows_at = Codebook.w_rows_at
+
+    def counted_w_rows_at(self, m, idx):
+        out = w_rows_at(self, m, idx)
+        rows["all"] += out.shape[0]
+        return out
+
+    encode = codec.encode_block
+
+    def counted_encode(*args, **kwargs):
+        before = rows["all"]
+        out = encode(*args, **kwargs)
+        rows["cover"] += rows["all"] - before
+        return out
+
+    decode_gaps = codec._decode_gaps
+
+    def counted_decode_gaps(*args):
+        gaps1, gaps2 = decode_gaps(*args)
+        rows["survivors"] += int((gaps1 <= args[-1]).sum())
+        return gaps1, gaps2
+
+    monkeypatch.setattr(Codebook, "w_rows_at", counted_w_rows_at)
+    monkeypatch.setattr(codec, "encode_block", counted_encode)
+    monkeypatch.setattr(codec, "_decode_gaps", counted_decode_gaps)
+    cfg = SchemeConfig(candidate=cand, n=300, num_blocks=8,
+                       rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"],
+                       cover_eps=BLESSED["eps_cover"], seed=21)
+    r = run_scheme(cfg)
+    decoded_blocks = cfg.num_blocks - 1
+    assert rows["cover"] > 0
+    assert rows["all"] - rows["cover"] <= rows["survivors"] + decoded_blocks
+    assert rows["survivors"] < decoded_blocks * cfg.m_count
+    assert r.decode_status.count("ok") >= 1
+
+
 def test_encode_block_returns_smallest_index(cand):
     cb = Codebook(cand, 300, BLESSED["rate_mid"], seed=8)
     rng = np.random.default_rng(1)
     u = rng.integers(0, 2, 300)
     m = encode_block(u, 0, cb, eps=0.3)
     assert m is not None
-    from markovcoord.codec import _cover_gaps
     gaps = _cover_gaps(cand, u, cb.x_word(0), cb.w_rows(0, 0, cb.m_count), 300)
     assert gaps[m] <= 0.3
     assert (gaps[:m] > 0.3).all()
@@ -191,9 +379,8 @@ def test_channel_block_first_symbol_depends_only_on_first_input(cand):
 
 
 def test_decode_block_single_codeword(cand):
-    with pytest.warns(UserWarning, match="rate"):
-        cfg = SchemeConfig(candidate=cand, n=400, num_blocks=3, rate=0.0, eps=0.4)
-    cb = gen_codebook(cfg)
+    cb = Codebook(cand, 400, 0.0, seed=0)
+    cb.materialize_x()
     y_prev = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
     y_cur = channel_block(cb.x_word(0), int(y_prev[-1]), cand.channel,
                           derive_key(4, 1))
@@ -202,12 +389,11 @@ def test_decode_block_single_codeword(cand):
 
 
 def test_decode_block_forced_collision_is_ambiguous(cand):
-    cfg = SchemeConfig(candidate=cand, n=400, num_blocks=3, rate=0.02, eps=0.4,
-                       seed=6)
-    cb = gen_codebook(cfg)
+    cb = Codebook(cand, 400, 0.02, seed=6)
+    cb.materialize_x()
     # duplicate codeword 0 into slot 1: both satisfy both conditions
     cb.x_words[1] = cb.x_words[0]
-    cb.w_words[0, 1] = cb.w_words[0, 0]
+    _collide_w(cb)
     y_prev = channel_block(cb.x_word(0), 0, cand.channel, derive_key(9, 0))
     y_cur = channel_block(cb.x_word(0), int(y_prev[-1]), cand.channel,
                           derive_key(9, 1))
