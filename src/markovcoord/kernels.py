@@ -23,7 +23,7 @@ import numpy as np
 from .rng import uniform_grid
 
 PATH_SEGMENT_SYMBOLS = 1 << 14  # channel steps composed per pass; bounds the map tables
-AEP_PAIR_BLOCK = 64  # y sequences per enumeration pass
+AEP_PASS_CELLS = 1 << 20  # count-table cells per enumeration pass; bounds its tables
 
 
 def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray,
@@ -97,12 +97,13 @@ def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
                             ydig[:, :-1]], axis=1)
     ybase = yprev * (nx * ny) + ydig  # cell index with the x contribution left out
 
+    block = max(1, AEP_PASS_CELLS // (nx_rows * ncells))  # y sequences per pass
     typical = 0
     prob_t = 0.0
     prob_all = 0.0
     nll_min, nll_max = np.inf, -np.inf
-    for lo in range(0, ydig.shape[0], AEP_PAIR_BLOCK):
-        yb = ybase[lo:lo + AEP_PAIR_BLOCK]
+    for lo in range(0, ydig.shape[0], block):
+        yb = ybase[lo:lo + block]
         b = yb.shape[0]
         cells = yb[:, None, :] + xdig[None, :, :] * ny  # (b, Nx, n)
         pair_ids = np.arange(b * nx_rows, dtype=np.int64).reshape(b, nx_rows, 1)

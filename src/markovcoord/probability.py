@@ -5,6 +5,11 @@ JointDist, TransitionMatrix), information measures in bits, the
 input-induced output transition matrix of a one-step-memory channel, its
 equilibrium distribution, and the lifted adjacent-triplet chain.
 
+Chain structure is boolean matrix algebra on the positive-entry pattern:
+recurrence from the reachability closure, found by repeated squaring, and
+aperiodicity of the recurrent class from Wielandt's bound, under which a
+primitive pattern of r states has an all-positive power (r-1)^2 + 1.
+
 All types validate on construction, freeze their arrays, and every
 operation is a pure function, so instances can be shared across
 concurrent workers without coordination.
@@ -12,7 +17,6 @@ concurrent workers without coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -234,94 +238,41 @@ def induced_transition(px: Dist, w: Kernel) -> TransitionMatrix:
     return TransitionMatrix(t)
 
 
-def _successors(entries: np.ndarray) -> list:
-    return [np.nonzero(entries[i] > 0)[0].tolist() for i in range(entries.shape[0])]
+def _square_until(pattern: np.ndarray, power: int) -> np.ndarray:
+    """Boolean pattern^(2^s) for the least s with 2^s >= power.
 
-
-def _strongly_connected_components(adj: list) -> list:
-    """Iterative Tarjan; returns SCCs as lists of state indices."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list = []
-    sccs = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
-                if index[u] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
-
-
-def _class_period(adj: list, members: list) -> int:
-    """gcd of cycle lengths inside one strongly connected class via BFS levels."""
-    member_set = set(members)
-    root = members[0]
-    level = {root: 0}
-    frontier = [root]
-    g = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if u not in member_set:
-                    continue
-                if u in level:
-                    g = math.gcd(g, level[v] + 1 - level[u])
-                else:
-                    level[u] = level[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return abs(g) if g != 0 else 0
+    Stops at an all-positive power: every later power of a pattern with a
+    positive diagonal or of an irreducible one is all-positive too.
+    """
+    m = pattern.astype(np.float64)
+    reached = 1
+    while reached < power and not m.all():
+        m = np.minimum(m @ m, 1.0)  # 0/1 entries: BLAS products stay exact
+        reached *= 2
+    return m > 0
 
 
 def chain_structure(t: TransitionMatrix) -> ChainStructure:
-    """Recurrent classes (closed SCCs of the positive-entry digraph) and
-    aperiodicity of the unique recurrent class when there is one."""
-    adj = _successors(t.entries)
-    sccs = _strongly_connected_components(adj)
-    recurrent = []
-    for comp in sccs:
-        members = set(comp)
-        closed = all(u in members for v in comp for u in adj[v])
-        if closed:
-            recurrent.append(sorted(comp))
-    recurrent.sort()
+    """Recurrent classes and aperiodicity of the positive-entry digraph A.
+
+    reach[i, j] says j is reachable from i in zero or more steps: the
+    closure of A | I by at most ceil(log2 k) boolean squarings.  State i is
+    recurrent iff every state it reaches reaches it back, and its class is
+    reach[i]; classes are ordered by their smallest state.  The unique
+    class of r states, when there is one, is aperiodic iff its pattern is
+    primitive, i.e. its power (r-1)^2 + 1 is all-positive (Wielandt 1950).
+    """
+    a = t.entries > 0
+    reach = _square_until(a | np.eye(t.size, dtype=bool), t.size)
+    # recurrent states that are the smallest of their class
+    smallest = (reach <= reach.T).all(axis=1) & (reach.argmax(axis=1) == np.arange(t.size))
+    recurrent = [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(smallest)]
     is_unichain = len(recurrent) == 1
-    is_aperiodic = is_unichain and _class_period(adj, recurrent[0]) == 1
+    if is_unichain:
+        c, r = recurrent[0], len(recurrent[0])
+        is_aperiodic = bool(_square_until(a[c][:, c], (r - 1) ** 2 + 1).all())
+    else:
+        is_aperiodic = False
     return ChainStructure(
         recurrent_classes=tuple(frozenset(c) for c in recurrent),
         is_unichain=is_unichain,
@@ -375,13 +326,10 @@ def lifted_transition(px: Dist, w: Kernel) -> TransitionMatrix:
     if w.input_sizes[0] != nx:
         raise ValueError("input pmf does not match channel input alphabet")
     step = np.einsum("x,xjk->jxk", px.pmf, w.table)  # P(x', k | current y = j)
-    m = np.zeros((ny * nx * ny, ny * nx * ny))
-    for i in range(ny):
-        for x in range(nx):
-            for j in range(ny):
-                src = (i * nx + x) * ny + j
-                m[src].reshape(ny, nx, ny)[j, :, :] = step[j]
-    return TransitionMatrix(m)
+    m = np.zeros((ny, nx, ny, ny, nx, ny))  # (i, x, j) -> (j', x', k)
+    j = np.arange(ny)
+    m[:, :, j, j] = step
+    return TransitionMatrix(m.reshape(ny * nx * ny, ny * nx * ny))
 
 
 def lifted_index(i: int, x: int, j: int, nx: int, ny: int) -> int:

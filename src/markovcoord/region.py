@@ -258,6 +258,13 @@ class TargetDecomposition:
     pi: Dist
 
 
+def _conditional(table: np.ndarray) -> np.ndarray:
+    """P(last coordinate | the rest) of a nonnegative table, uniform where
+    the conditioning mass is zero."""
+    mass = table.sum(axis=-1, keepdims=True)
+    return np.where(mass > 0, table / np.maximum(mass, 1e-300), 1.0 / table.shape[-1])
+
+
 def _decompose_channel_marginal(p_xyy: np.ndarray, tol: float) -> Tuple[Dist, Dist, Kernel, List[str]]:
     """Split a (X, Y', Y) table into p_x, pi, channel; collect violations."""
     details: List[str] = []
@@ -268,23 +275,13 @@ def _decompose_channel_marginal(p_xyy: np.ndarray, tol: float) -> Tuple[Dist, Di
     for cell in np.argwhere(indep_gap > tol):
         details.append(f"X and Y' not independent at (x={cell[0]}, y'={cell[1]}): "
                        f"gap {indep_gap[tuple(cell)]:.3g}")
-    nx, ny = p_xyp.shape
-    table = np.empty((nx, ny, ny))
-    for x in range(nx):
-        for i in range(ny):
-            mass = p_xyp[x, i]
-            if mass > 0:
-                table[x, i] = p_xyy[x, i] / mass
-            else:
-                table[x, i] = 1.0 / ny  # unconstrained row, uniform fill
-    channel = Kernel(table)
+    channel = Kernel(_conditional(p_xyy))  # rows of zero mass are unconstrained
     px_dist = Dist(p_x / p_x.sum())
-    t = induced_transition(px_dist, channel)
-    structure = chain_structure(t)
-    if not (structure.is_unichain and structure.is_aperiodic):
+    try:
+        pi = stationary_dist(induced_transition(px_dist, channel))
+    except AssumptionViolated:
         details.append("induced output chain is not unichain-aperiodic")
         return px_dist, Dist(p_yp / p_yp.sum()), channel, details
-    pi = stationary_dist(t)
     pi_gap = np.abs(p_yp - pi.pmf)
     for i in np.argwhere(pi_gap > tol).ravel():
         details.append(f"Y' marginal is not the equilibrium at state {i}: "
@@ -342,9 +339,7 @@ def witness_w_equals_u(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
     pw = np.zeros((nu, nx, nu))
     for u in range(nu):
         pw[u, :, u] = 1.0
-    cond_v = np.where(p_u.pmf[:, None] > 0,
-                      p_uv.pmf / np.maximum(p_u.pmf[:, None], 1e-300),
-                      1.0 / nv)
+    cond_v = _conditional(p_uv.pmf)
     pv = np.broadcast_to(cond_v[None, None, :, :], (ny, nx, nu, nv)).copy()
     return InnerCandidate(
         p_u=p_u, p_x=p_x, p_w_given_ux=Kernel(pw), channel=channel,
@@ -365,9 +360,7 @@ def witness_w_copies_v(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
     nu, nv = p_uv.pmf.shape
     nx, ny = p_x.size, channel.output_size
     p_u = Dist(p_uv.pmf.sum(axis=1))
-    cond_v = np.where(p_u.pmf[:, None] > 0,
-                      p_uv.pmf / np.maximum(p_u.pmf[:, None], 1e-300),
-                      1.0 / nv)
+    cond_v = _conditional(p_uv.pmf)
     pw = np.broadcast_to(cond_v[:, None, :], (nu, nx, nv)).copy()
     pv = np.broadcast_to(np.eye(nv)[None, None, :, :], (ny, nx, nv, nv)).copy()
     return InnerCandidate(
@@ -419,10 +412,7 @@ def _refit_decoder_kernel(decomp: TargetDecomposition, target_pmf: np.ndarray,
     nu, nx, ny = decomp.p_u.size, decomp.p_x.size, decomp.channel.output_size
     nw = pw.shape[2]
     # C[u, x, y, v] = target P(v | u, x, y); rows weighted by P(u) mass
-    t_uxyv = target_pmf.sum(axis=2)  # sum over y'
-    mass = t_uxyv.sum(axis=3)
-    cond = np.where(mass[..., None] > 0, t_uxyv / np.maximum(mass[..., None], 1e-300),
-                    1.0 / nv)
+    cond = _conditional(target_pmf.sum(axis=2))  # sum over y'
     pv = np.empty((ny, nx, nw, nv))
     sqrt_w = np.sqrt(np.maximum(decomp.p_u.pmf, 1e-12))
     for x in range(nx):
@@ -440,10 +430,7 @@ def _initial_points(decomp: TargetDecomposition, target_pmf: np.ndarray,
     nu, nx, ny = decomp.p_u.size, decomp.p_x.size, decomp.channel.output_size
     inits: List[Tuple[np.ndarray, np.ndarray]] = []
     # marginal decoder kernel shared by the deterministic starts
-    t_yv = target_pmf.sum(axis=(0, 1, 2))
-    cond_yv = np.where(t_yv.sum(axis=1, keepdims=True) > 0,
-                       t_yv / np.maximum(t_yv.sum(axis=1, keepdims=True), 1e-300),
-                       1.0 / nv)
+    cond_yv = _conditional(target_pmf.sum(axis=(0, 1, 2)))
     pv_marginal = np.broadcast_to(cond_yv[:, None, None, :], (ny, nx, w_size, nv)).copy()
 
     # constant auxiliary
@@ -459,10 +446,7 @@ def _initial_points(decomp: TargetDecomposition, target_pmf: np.ndarray,
 
     # W drawn like V given U (separation-style), V copies W when sizes allow
     if w_size >= nv:
-        t_uv = target_pmf.sum(axis=(1, 2, 3))
-        cond_uv = np.where(t_uv.sum(axis=1, keepdims=True) > 0,
-                           t_uv / np.maximum(t_uv.sum(axis=1, keepdims=True), 1e-300),
-                           1.0 / nv)
+        cond_uv = _conditional(target_pmf.sum(axis=(1, 2, 3)))
         pw2 = np.zeros((nu, nx, w_size))
         pw2[:, :, :nv] = cond_uv[:, None, :]
         pv2 = np.zeros((ny, nx, w_size, nv))

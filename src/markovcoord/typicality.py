@@ -16,11 +16,9 @@ import numpy as np
 
 from . import kernels
 from .probability import (
-    AssumptionViolated,
     Dist,
     JointDist,
     Kernel,
-    chain_structure,
     entropy_table,
     induced_transition,
     stationary_dist,
@@ -43,6 +41,17 @@ def _check_seq(seq: np.ndarray, size: int, name: str) -> np.ndarray:
     if seq.size and (seq.min() < 0 or seq.max() >= size):
         raise ValueError(f"{name} has symbols outside [0, {size})")
     return seq
+
+
+def _check_pair(x_seq, y_seq, y0: int, x_size: int, y_size: int):
+    """(x_seq, y_seq) checked as equal-length symbol sequences, y0 as a state."""
+    x_seq = _check_seq(x_seq, x_size, "x_seq")
+    y_seq = _check_seq(y_seq, y_size, "y_seq")
+    if x_seq.size != y_seq.size:
+        raise ValueError(f"length mismatch: {x_seq.size} vs {y_seq.size}")
+    if not 0 <= y0 < y_size:
+        raise ValueError("y0 out of range")
+    return x_seq, y_seq
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +108,9 @@ class AepConstants:
 
 def triplet_type(x_seq, y_seq, y0: int, x_size: int, y_size: int) -> TripletType:
     """Count adjacent triplets (y_{t-1}, x_t, y_t); y0 supplies y_0."""
-    x_seq = _check_seq(x_seq, x_size, "x_seq")
-    y_seq = _check_seq(y_seq, y_size, "y_seq")
-    if x_seq.size != y_seq.size:
-        raise ValueError(f"length mismatch: {x_seq.size} vs {y_seq.size}")
+    x_seq, y_seq = _check_pair(x_seq, y_seq, y0, x_size, y_size)
     if x_seq.size < 1:
         raise ValueError("sequences must have length >= 1")
-    if not 0 <= y0 < y_size:
-        raise ValueError("y0 out of range")
     yprev = np.concatenate([[y0], y_seq[:-1]])
     cells = (yprev * x_size + x_seq) * y_size + y_seq
     counts = np.bincount(cells, minlength=y_size * x_size * y_size)
@@ -163,10 +167,7 @@ def sequence_log_prob(x_seq, y_seq, y0: int, px: Dist, w: Kernel) -> float:
 
     Returns -inf when the path crosses a zero-probability factor.
     """
-    nx = px.size
-    ny = w.output_size
-    x_seq = _check_seq(x_seq, nx, "x_seq")
-    y_seq = _check_seq(y_seq, ny, "y_seq")
+    x_seq, y_seq = _check_pair(x_seq, y_seq, y0, px.size, w.output_size)
     yprev = np.concatenate([[y0], y_seq[:-1]])
     probs = px.pmf[x_seq] * w.table[x_seq, yprev, y_seq]
     if np.any(probs <= 0.0):
@@ -269,16 +270,15 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
     audit switches to seeded sampling from the generation law ("auto") or
     raises EnumerationTooLarge (mode="exact").  delta defaults to
     eps (L_X + L_W) + boundary, the smallest value the deviation bound
-    guarantees; smaller requests are rejected.
+    guarantees; smaller requests are rejected.  stationary_dist raises
+    AssumptionViolated unless the output chain is unichain and aperiodic.
     """
     if mode not in ("auto", "exact", "sample"):
         raise ValueError(f"unknown audit mode {mode!r}")
     nx, ny = px.size, w.output_size
-    t_matrix = induced_transition(px, w)
-    structure = chain_structure(t_matrix)
-    if not (structure.is_unichain and structure.is_aperiodic):
-        raise AssumptionViolated("audit requires a unichain aperiodic output chain")
-    pi = stationary_dist(t_matrix)
+    if not 0 <= y0 < ny:
+        raise ValueError("y0 out of range")
+    pi = stationary_dist(induced_transition(px, w))
     q = np.einsum("i,x,xij->ixj", pi.pmf, px.pmf, w.table)
     h_rate = entropy_table(q) - entropy_table(pi.pmf)
     consts = aep_constants(px, w, n, y0_known=True)

@@ -56,6 +56,32 @@ def nested_loop_outer(c):
     return out
 
 
+def chain_structure_direct(pattern):
+    """(recurrent classes, unichain, aperiodic) of a transition pattern A
+    from the definitions: j is reachable from i iff (I + A)^(k-1)_ij > 0, a
+    recurrent class is a communicating class that no edge leaves, and the
+    period of a state i is gcd{t <= 2k^2 : (A^t)_ii > 0}."""
+    a = np.asarray(pattern, dtype=np.int64)
+    k = a.shape[0]
+    reach = np.linalg.matrix_power(np.eye(k, dtype=np.int64) + a, k - 1) > 0
+    classes = []
+    for i in range(k):
+        members = [j for j in range(k) if reach[i, j] and reach[j, i]]
+        leaves = any(a[s, j] for s in members for j in range(k) if j not in members)
+        if members[0] == i and not leaves:
+            classes.append(frozenset(members))
+    unichain = len(classes) == 1
+    period = 0
+    if unichain:
+        i = min(classes[0])
+        walk = np.eye(k, dtype=np.int64)
+        for t in range(1, 2 * k * k + 1):
+            walk = np.minimum(walk @ a, 1)
+            if walk[i, i]:
+                period = math.gcd(period, t)
+    return tuple(classes), unichain, period == 1
+
+
 def sequence_prob_direct(x_seq, y_seq, y0, px_pmf, w_table):
     """Plain product of path factors (not in log domain)."""
     prob = 1.0

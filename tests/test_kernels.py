@@ -91,22 +91,25 @@ def test_offset_counts_matches_loop():
     assert (counts.sum(axis=1) == 50).all()
 
 
-def test_aep_enumerate_matches_pair_scan():
+def test_aep_enumerate_matches_pair_scan(monkeypatch):
     rng = np.random.default_rng(3)
     n, nx, ny, eps = 5, 2, 2, 0.8
     px = np.array([0.6, 0.4])
     w = rng.dirichlet(np.ones(ny), size=(nx, ny))  # [x, y_prev, y]
     q = rng.dirichlet(np.ones(ny * nx * ny)).reshape(ny, nx, ny)
-    typical, prob_t, prob_all, nll_min, nll_max = kernels.aep_enumerate(
-        kernels.digit_rows(nx ** n, nx, n), kernels.digit_rows(ny ** n, ny, n), 0,
-        np.log2(px), np.transpose(np.log2(w), (1, 0, 2)).ravel(),
-        np.ones(ny * nx * ny, dtype=bool), q.ravel(), n, nx, ny, eps)
     count, prob, nlls = typical_set_scan(n, eps, px, w, q, 0)
-    assert count > 0 and typical == count
-    assert prob_t == pytest.approx(prob, rel=1e-12)
-    assert prob_all == pytest.approx(1.0, rel=1e-12)
-    assert nll_min == pytest.approx(min(nlls), abs=1e-12)
-    assert nll_max == pytest.approx(max(nlls), abs=1e-12)
+    # one pass of all 32 y sequences, passes of 5 (the last one partial), and of 1
+    for cells in (kernels.AEP_PASS_CELLS, 5 * nx ** n * ny * nx * ny, 1):
+        monkeypatch.setattr(kernels, "AEP_PASS_CELLS", cells)
+        typical, prob_t, prob_all, nll_min, nll_max = kernels.aep_enumerate(
+            kernels.digit_rows(nx ** n, nx, n), kernels.digit_rows(ny ** n, ny, n), 0,
+            np.log2(px), np.transpose(np.log2(w), (1, 0, 2)).ravel(),
+            np.ones(ny * nx * ny, dtype=bool), q.ravel(), n, nx, ny, eps)
+        assert count > 0 and typical == count
+        assert prob_t == pytest.approx(prob, rel=1e-12)
+        assert prob_all == pytest.approx(1.0, rel=1e-12)
+        assert nll_min == pytest.approx(min(nlls), abs=1e-12)
+        assert nll_max == pytest.approx(max(nlls), abs=1e-12)
 
 
 def test_digit_rows():

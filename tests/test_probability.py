@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel_instance, random_dist
-from _oracles import entropy_direct
+from _oracles import chain_structure_direct, entropy_direct
 
 from markovcoord.probability import (
     AssumptionViolated,
@@ -172,6 +172,78 @@ def test_chain_structure_transient_states():
     s = chain_structure(t)
     assert s.is_unichain and s.is_aperiodic
     assert s.recurrent_classes == (frozenset({1, 2}),)
+
+
+def _cycle(r):
+    return np.roll(np.eye(r, dtype=bool), 1, axis=1)  # i -> i + 1 mod r
+
+
+def _wielandt(r):
+    """An r-cycle plus the chord r -> 2 (1-based): primitive, and no
+    primitive pattern of r states needs a higher power to turn positive."""
+    a = _cycle(r)
+    a[r - 1, 1] = True
+    return a
+
+
+def _two_closed_classes():
+    a = np.zeros((5, 5), dtype=bool)
+    a[0, 3] = a[3, 0] = True               # {0, 3}: a 2-cycle
+    a[2, 4] = a[4, 2] = a[4, 4] = True     # {2, 4}: aperiodic
+    a[1, [0, 2]] = True                    # 1 leaks into both
+    return a
+
+
+def _leak_into_cycle(chord):
+    a = np.zeros((5, 5), dtype=bool)
+    a[0, [0, 1]] = a[1, 2] = True          # 0 -> 1 -> the class
+    a[2, 3] = a[3, 4] = a[4, 2] = True     # {2, 3, 4}: a 3-cycle
+    a[4, 3] = chord                        # a 2-cycle too: period gcd(2, 3) = 1
+    return a
+
+
+_CHAIN_CASES = (
+    [(f"cycle-{r}", _cycle(r), ((frozenset(range(r)),), True, False)) for r in range(2, 12)]
+    + [(f"wielandt-{r}", _wielandt(r), ((frozenset(range(r)),), True, True))
+       for r in range(2, 12)]
+    + [("two-closed-classes", _two_closed_classes(),
+        ((frozenset({0, 3}), frozenset({2, 4})), False, False)),
+       ("leak-into-periodic", _leak_into_cycle(False), ((frozenset({2, 3, 4}),), True, False)),
+       ("leak-into-aperiodic", _leak_into_cycle(True), ((frozenset({2, 3, 4}),), True, True))]
+)
+
+
+@pytest.mark.parametrize("pattern,expected", [c[1:] for c in _CHAIN_CASES],
+                         ids=[c[0] for c in _CHAIN_CASES])
+def test_chain_structure_fixed_patterns(pattern, expected):
+    s = chain_structure(TransitionMatrix(pattern / pattern.sum(axis=1, keepdims=True)))
+    assert (s.recurrent_classes, s.is_unichain, s.is_aperiodic) == expected
+    assert chain_structure_direct(pattern) == expected
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_wielandt_exponent_is_sharp(r):
+    a = _wielandt(r).astype(float)
+    assert not np.linalg.matrix_power(a, (r - 1) ** 2).all()
+    assert np.linalg.matrix_power(a, (r - 1) ** 2 + 1).all()
+
+
+@st.composite
+def _support_patterns(draw):
+    k = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)))
+    a = a.reshape(k, k)
+    for i in np.flatnonzero(~a.any(axis=1)):
+        a[i, draw(st.integers(0, k - 1))] = True  # every state has a successor
+    return a
+
+
+@given(_support_patterns())
+@settings(max_examples=300, deadline=None)
+def test_chain_structure_matches_definition(pattern):
+    s = chain_structure(TransitionMatrix(pattern / pattern.sum(axis=1, keepdims=True)))
+    assert (s.recurrent_classes, s.is_unichain, s.is_aperiodic) == \
+        chain_structure_direct(pattern)
 
 
 def test_stationary_examples():

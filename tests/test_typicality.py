@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,27 @@ def test_sequence_log_prob_matches_direct_product():
     assert 2.0 ** sequence_log_prob(x, y, 1, px, w) == pytest.approx(expect, rel=1e-12)
 
 
+# the aep-audit workload's input law and channel
+_PX = Dist(np.array([0.5, 0.5]))
+_W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
+                      [[0.25, 0.75], [0.29, 0.71]]]))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: sequence_log_prob([0], [0, 1, 1, 0, 1], 0, _PX, _W), "length mismatch"),
+    (lambda: sequence_log_prob([0, 1], [1, 0], -1, _PX, _W), "y0 out of range"),
+    (lambda: sequence_log_prob([0, 1], [1, 0], 2, _PX, _W), "y0 out of range"),
+    (lambda: aep_audit(6, 0.24, _PX, _W, y0=2), "y0 out of range"),
+    (lambda: aep_audit(6, 0.24, _PX, _W, y0=-1), "y0 out of range"),
+    (lambda: aep_audit(16, 0.24, _PX, _W, y0=2, sample_size=10), "y0 out of range"),
+    (lambda: aep_audit(16, 0.24, _PX, _W, y0=-1, sample_size=10), "y0 out of range"),
+], ids=["logp-short-x", "logp-y0-neg", "logp-y0-high", "exact-y0-high", "exact-y0-neg",
+        "sampled-y0-high", "sampled-y0-neg"])
+def test_bad_sequence_inputs_are_named_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_counting_conservation_property():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -268,6 +291,24 @@ def test_aep_audit_guard_and_statistical_fallback():
     assert r.mode == "statistical"
     assert 0.0 <= r.typical_prob <= 1.0
     assert r.sandwich_ok  # deterministic bound holds on every sampled pair
+
+
+def test_exact_audit_memory_is_bounded_by_cells():
+    # 5 inputs, 2 states, n=6: 1.0M pairs with 20-cell count tables; passes
+    # of a fixed 64 y sequences held over 500 MB of tables here
+    rng = np.random.default_rng(0)
+    px = Dist(np.full(5, 0.2))
+    w = Kernel(rng.dirichlet(np.ones(2), size=(5, 2)))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        r = aep_audit(6, 1.0, px, w, y0=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.mode == "exact" and r.typical_count > 0
+    assert r.prob_mass_checked == pytest.approx(1.0, abs=1e-9)
+    assert peak < 64 * 2 ** 20
 
 
 def _sampled_audit_loop(n, eps, px, w, y0, sample_size, seed):
