@@ -30,7 +30,7 @@ from .codec import (
     message_count,
     run_scheme,
 )
-from .probability import AssumptionViolated, Dist, Kernel
+from .probability import AssumptionViolated, ConvergenceError, Dist, Kernel
 from .region import InnerCandidate, optimize_auxiliary
 from .rng import derive_key, make_cdf, sample_from_cdf, uniforms
 from .typicality import aep_audit, prop1_gaps
@@ -201,7 +201,7 @@ def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate
         candidate = InnerCandidate(
             p_u=parts["u_pmf"], p_x=parts["x_pmf"], p_w_given_ux=parts["w_given_ux"],
             channel=parts["channel"], p_v_given_yxw=parts["v_given_yxw"])
-    except (ValueError, AssumptionViolated) as e:
+    except (ValueError, AssumptionViolated, ConvergenceError) as e:
         problems.append(f"instance: {e}")
         return None
     ny, y0 = candidate.channel.output_size, inst.get("y0", 0)
@@ -373,7 +373,7 @@ def _run_typicality_audit(cfg, point, seed):
     x_cdf = make_cdf(cand.p_x.pmf)
     x_seq = sample_from_cdf(x_cdf, uniforms(derive_key(seed, 0), n))
     y_seq = channel_block(x_seq, y0, cand.channel, derive_key(seed, 1))
-    gaps = prop1_gaps(x_seq, y_seq, y0, cand.p_x, cand.channel)
+    gaps = prop1_gaps(x_seq, y_seq, y0, cand.p_x, cand.channel, pi=cand.equilibrium)
     joint_typical = gaps["joint"] <= eps
     slop = 1e-9  # independent rounding of the separate gap summations
     projections_ok = (not joint_typical) or (

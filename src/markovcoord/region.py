@@ -29,7 +29,6 @@ from .probability import (
     JointDist,
     Kernel,
     _frozen,
-    chain_structure,
     cond_mutual_info,
     induced_transition,
     mutual_info,
@@ -77,9 +76,10 @@ class InnerCandidate:
             raise ValueError("channel must condition on (x, y_prev)")
         if self.p_v_given_yxw.input_sizes != (ny, nx, nw):
             raise ValueError("p_v_given_yxw shape inconsistent with (Y, X, W)")
-        structure = chain_structure(induced_transition(self.p_x, self.channel))
-        if not (structure.is_unichain and structure.is_aperiodic):
-            raise AssumptionViolated("induced output chain is not unichain-aperiodic")
+        try:
+            self.equilibrium  # solving for it checks the chain's structure
+        except AssumptionViolated:
+            raise AssumptionViolated("induced output chain is not unichain-aperiodic") from None
 
     @property
     def sizes(self) -> Tuple[int, int, int, int, int]:
@@ -87,6 +87,11 @@ class InnerCandidate:
                 self.channel.output_size, self.p_v_given_yxw.output_size)
 
     # Everything below is derived once per candidate and cached.
+
+    @cached_property
+    def equilibrium(self) -> Dist:
+        """The equilibrium of the output chain p_x drives through the channel."""
+        return stationary_dist(induced_transition(self.p_x, self.channel))
 
     @cached_property
     def joint(self) -> JointDist:
@@ -185,10 +190,9 @@ def assemble_inner(c: InnerCandidate) -> JointDist:
     The Y'-coordinate carries the equilibrium distribution of the output
     chain induced by p_x through the channel.
     """
-    pi = stationary_dist(induced_transition(c.p_x, c.channel))
     pmf = np.einsum(
         "u,x,uxw,i,xiy,yxwv->uxwiyv",
-        c.p_u.pmf, c.p_x.pmf, c.p_w_given_ux.table, pi.pmf,
+        c.p_u.pmf, c.p_x.pmf, c.p_w_given_ux.table, c.equilibrium.pmf,
         c.channel.table, c.p_v_given_yxw.table,
     )
     return JointDist(pmf)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from markovcoord import probability
 from markovcoord.cli import main as cli_main
 from markovcoord.harness import (
     KINDS,
@@ -196,6 +197,18 @@ def test_typicality_audit_kind_runs():
     rs = run_experiment(cfg)
     assert not rs.has_errors
     assert all(r["metrics"]["projections_ok"] == 1 for r in rs.rows)
+
+
+def test_typicality_audit_rows_reuse_the_candidate_equilibrium(monkeypatch):
+    calls = []  # one ChainStructure per analysis, whoever imported chain_structure
+    build = probability.ChainStructure
+    monkeypatch.setattr(probability, "ChainStructure",
+                        lambda **fields: calls.append(fields) or build(**fields))
+    raw = default_config("typicality-audit")
+    raw["sweep"] = {"n": [200], "eps": [0.2]}
+    raw["trials"] = 5
+    assert not run_experiment(config_from_dict(raw)).has_errors
+    assert len(calls) == 1
 
 
 def test_aep_audit_kind_runs():

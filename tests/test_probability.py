@@ -179,8 +179,9 @@ def _cycle(r):
 
 
 def _wielandt(r):
-    """An r-cycle plus the chord r -> 2 (1-based): primitive, and no
-    primitive pattern of r states needs a higher power to turn positive."""
+    """An r-cycle plus the chord r -> 2 (1-based): primitive with exponent
+    exactly (r-1)^2 + 1, the largest any primitive r-state pattern has
+    (Wielandt 1950), so its power (r-1)^2 still has a zero."""
     a = _cycle(r)
     a[r - 1, 1] = True
     return a
@@ -219,13 +220,6 @@ def test_chain_structure_fixed_patterns(pattern, expected):
     s = chain_structure(TransitionMatrix(pattern / pattern.sum(axis=1, keepdims=True)))
     assert (s.recurrent_classes, s.is_unichain, s.is_aperiodic) == expected
     assert chain_structure_direct(pattern) == expected
-
-
-@pytest.mark.parametrize("r", range(2, 11))
-def test_wielandt_exponent_is_sharp(r):
-    a = _wielandt(r).astype(float)
-    assert not np.linalg.matrix_power(a, (r - 1) ** 2).all()
-    assert np.linalg.matrix_power(a, (r - 1) ** 2 + 1).all()
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_flip_candidate, random_channel_instance, random_kernel
 from _oracles import binary_grid_slack, nested_loop_inner, nested_loop_outer
 
+from markovcoord import probability
 from markovcoord.probability import (
     AssumptionViolated,
     Dist,
@@ -156,6 +157,17 @@ def test_candidate_requires_unichain_assumption():
     with pytest.raises(AssumptionViolated):
         InnerCandidate(UNIF2, UNIF2, Kernel(np.ones((2, 2, 1))), Kernel(swap),
                        Kernel(np.full((2, 2, 1, 2), 0.5)))
+
+
+def test_candidate_analyses_its_chain_once(monkeypatch):
+    calls = []  # one ChainStructure per analysis, whoever imported chain_structure
+    build = probability.ChainStructure
+    monkeypatch.setattr(probability, "ChainStructure",
+                        lambda **fields: calls.append(fields) or build(**fields))
+    c = make_flip_candidate(0.25, 0.29, 0.1, 0.9, 0.2)
+    c.joint, c.target, c.decode_target2
+    assert len(calls) == 1
+    assert c.joint.marginal([3]).pmf == pytest.approx(c.equilibrium.pmf, abs=1e-15)
 
 
 def test_inner_embeds_into_outer_with_identical_slack():
