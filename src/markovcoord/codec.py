@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .probability import Kernel
 from .region import InnerCandidate
-from .rng import derive_key, derive_keys, make_cdf, sample_from_cdf, uniforms
+from .rng import derive_key, derive_keys, draw, thresholds, uniforms
 from .typicality import FullType, _check_seq, full_type, triplet_type
 
 MEMORY_GUARD_CELLS = 10 ** 8
@@ -127,8 +127,8 @@ class Codebook:
         self.seed = seed
         self.m_count = message_count(n, rate)
         self.x_words: Optional[np.ndarray] = None
-        self._x_cdf = make_cdf(candidate.p_x.pmf)[None, :]
-        self._w_cdf = make_cdf(candidate.p_w_given_x)
+        self._x_thr = thresholds(candidate.p_x.pmf)[None, :]
+        self._w_thr = thresholds(candidate.p_w_given_x)
         self._key_x = derive_key(seed, _TAG_X)
         self._key_w = derive_key(seed, _TAG_W)
         self._zero_rows = np.zeros(n, dtype=np.int64)
@@ -138,7 +138,7 @@ class Codebook:
         if self.x_words is not None and lo == 0 and hi == self.m_count:
             return self.x_words
         keys = derive_keys(self._key_x, np.arange(lo, hi, dtype=np.int64))
-        return kernels.word_symbols(keys, self._zero_rows, self._x_cdf)
+        return kernels.word_symbols(keys, self._zero_rows, self._x_thr)
 
     def x_word(self, m: int) -> np.ndarray:
         if self.x_words is not None:
@@ -149,7 +149,7 @@ class Codebook:
         """Auxiliary codewords W^n(m, m_hat) for m_hat in idx, shape (len(idx), n)."""
         row_key = derive_key(self._key_w, _TAG_ROW, m)
         keys = derive_keys(row_key, np.asarray(idx, dtype=np.int64))
-        return kernels.word_symbols(keys, self.x_word(m), self._w_cdf)
+        return kernels.word_symbols(keys, self.x_word(m), self._w_thr)
 
     def w_rows(self, m: int, lo: int, hi: int) -> np.ndarray:
         """Auxiliary codewords W^n(m, m_hat) for m_hat in lo..hi-1."""
@@ -217,7 +217,7 @@ def channel_block(x_block: np.ndarray, y_init: int, channel: Kernel,
     The caller threads y_init = last output of the previous block, which
     preserves the cross-block memory of the channel.
     """
-    return kernels.markov_path(x_block, y_init, channel.cdf, key)
+    return kernels.markov_path(x_block, y_init, channel.thresholds, key)
 
 
 def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
@@ -342,11 +342,9 @@ def run_scheme(cfg: SchemeConfig,
     cb.materialize_x()
 
     if source_blocks is None:
-        u_cdf = make_cdf(cand.p_u.pmf)
-        u_blocks = [
-            sample_from_cdf(u_cdf, uniforms(derive_key(cfg.seed, _TAG_U, b), n))
-            for b in range(B)
-        ]
+        u_thr = thresholds(cand.p_u.pmf)
+        u_blocks = [draw(uniforms(derive_key(cfg.seed, _TAG_U, b), n), u_thr)
+                    for b in range(B)]
     else:
         if len(source_blocks) != B:
             raise ValueError("source_blocks must supply one block per block")
@@ -390,15 +388,13 @@ def run_scheme(cfg: SchemeConfig,
         event_c[b] = (res.status is not DecodeStatus.OK
                       or int(decoded_m[b]) != int(true_m[b]))
 
-    v_cdf = cand.p_v_given_yxw.cdf
+    v_thr = cand.p_v_given_yxw.thresholds
     v_blocks: List[np.ndarray] = []
     for b in range(B - 1):
         x_hat = cb.x_word(int(decoded_m[b]))
         w_hat = cb.w_word(int(decoded_m[b]), int(decoded_m[b + 1]))
         rows = (y_blocks[b] * nx + x_hat) * nw + w_hat
-        us = uniforms(derive_key(cfg.seed, _TAG_V, b), n)
-        v_blocks.append(np.sum(v_cdf[rows] <= us[:, None], axis=1,
-                               dtype=np.int64))
+        v_blocks.append(draw(uniforms(derive_key(cfg.seed, _TAG_V, b), n), v_thr[rows]))
     v_blocks.append(np.zeros(n, dtype=np.int64))
 
     sizes = (nu, nx, ny, nv)

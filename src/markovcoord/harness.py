@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .codec import (
+    DecodeStatus,
     SchemeConfig,
     channel_block,
     joint_packing_event,
@@ -32,7 +33,7 @@ from .codec import (
 )
 from .probability import AssumptionViolated, ConvergenceError, Dist, Kernel
 from .region import InnerCandidate, optimize_auxiliary
-from .rng import derive_key, make_cdf, sample_from_cdf, uniforms
+from .rng import derive_key, draw, thresholds, uniforms
 from .typicality import aep_audit, prop1_gaps
 
 KINDS = ("region", "simulate", "typicality-audit", "aep-audit", "packing-probe")
@@ -364,14 +365,15 @@ def _run_simulate(cfg, point, seed):
         "rate_b": float(r.event_b.sum() / b),
         "rate_c": float(r.event_c.sum() / (b - 1)),
         "m_count": message_count(scfg.n, scfg.rate),
+        "decode_none": r.decode_status.count(DecodeStatus.NONE.value),
+        "decode_ambiguous": r.decode_status.count(DecodeStatus.AMBIGUOUS.value),
     }
 
 
 def _run_typicality_audit(cfg, point, seed):
     cand, y0 = cfg.candidate, cfg.y0
     n, eps = int(point["n"]), float(point["eps"])
-    x_cdf = make_cdf(cand.p_x.pmf)
-    x_seq = sample_from_cdf(x_cdf, uniforms(derive_key(seed, 0), n))
+    x_seq = draw(uniforms(derive_key(seed, 0), n), thresholds(cand.p_x.pmf))
     y_seq = channel_block(x_seq, y0, cand.channel, derive_key(seed, 1))
     gaps = prop1_gaps(x_seq, y_seq, y0, cand.p_x, cand.channel, pi=cand.equilibrium)
     joint_typical = gaps["joint"] <= eps

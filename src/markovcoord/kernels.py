@@ -5,9 +5,9 @@ generation, count tables for codeword scans, and exhaustive sequence-pair
 enumeration for the AEP audit.  Everything else in the package is cheap
 enough to write inline.
 
-Channel sampling is a prefix composition.  With the uniform u_t drawn,
-step t of the channel is a fixed map g_t on the state alphabet,
-g_t(s) = #{k : cdf[x_t, s, k] <= u_t}, and y_t = (g_t o ... o g_1)(y_0).
+Channel sampling is a prefix composition.  With the 53-bit word s_t
+drawn, step t of the channel is a fixed map g_t on the state alphabet,
+g_t(y) = draw(s_t, thresholds[x_t, y]), and y_t = (g_t o ... o g_1)(y_0).
 Composition is associative, so all n prefix maps come out of
 ceil(log2 n) vectorized doubling steps (Hillis & Steele 1986; Blelloch
 1990) instead of n sequential Python steps, with the same integer output
@@ -20,35 +20,35 @@ import math
 
 import numpy as np
 
-from .rng import uniform_grid
+from .rng import draw, uniform_grid
 
 PATH_SEGMENT_SYMBOLS = 1 << 14  # channel steps composed per pass; bounds the map tables
 AEP_PASS_CELLS = 1 << 20  # count-table cells per enumeration pass; bounds its tables
 
 
-def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray,
+def markov_path(x_seq: np.ndarray, y0: int, thr_rows: np.ndarray,
                 key: int | np.ndarray) -> np.ndarray:
     """Sample a channel output path for input x_seq from initial state y0.
 
-    cdf_rows is the flattened (nx*ny, ny) conditional cdf table, row
-    x * ny + y_prev; y_t is #{k : cdf_rows[x_t * ny + y_{t-1}, k] <= u_t}
-    with u_t at counter t of the keyed stream.  A (T, n) x_seq with an
+    thr_rows is the flattened (nx*ny, ny-1) conditional threshold table,
+    row x * ny + y_prev; y_t is draw(s_t, thr_rows[x_t * ny + y_{t-1}])
+    with s_t at counter t of the keyed stream.  A (T, n) x_seq with an
     array of T keys samples T independent paths, row i from keys[i].
     Steps are composed in segments of about PATH_SEGMENT_SYMBOLS symbols,
     each starting from the last state of the one before.
     """
     x_seq = np.asarray(x_seq, dtype=np.int64)
     n = x_seq.shape[-1]
-    us = uniform_grid(np.atleast_1d(np.asarray(key, dtype=np.uint64)), n).reshape(x_seq.shape)
-    ny = cdf_rows.shape[1]
-    tables = cdf_rows.reshape(-1, ny, ny)
+    s = uniform_grid(np.atleast_1d(np.asarray(key, dtype=np.uint64)), n).reshape(x_seq.shape)
+    ny = thr_rows.shape[1] + 1
+    tables = thr_rows.reshape(thr_rows.shape[0] // ny, ny, ny - 1)
     y = np.empty(x_seq.shape, dtype=np.int64)
     state = np.full(x_seq.shape[:-1] + (1, 1), y0, dtype=np.int64)
     seg = max(1, PATH_SEGMENT_SYMBOLS // math.prod(x_seq.shape[:-1]))  # steps per segment
     for lo in range(0, n, seg):
         hi = min(lo + seg, n)
-        # g[..., t, s]: state after step t when the state before it is s
-        g = np.count_nonzero(tables[x_seq[..., lo:hi]] <= us[..., lo:hi, None, None], axis=-1)
+        # g[..., t, y]: state after step t when the state before it is y
+        g = draw(s[..., lo:hi, None], tables[x_seq[..., lo:hi]])
         d = 1
         while d < hi - lo:  # g[t] <- g[t] o g[t-d]: g[t] then composes steps max(0, t-2d+1)..t
             g[..., d:, :] = np.take_along_axis(g[..., d:, :], g[..., :-d, :], axis=-1)
@@ -59,13 +59,12 @@ def markov_path(x_seq: np.ndarray, y0: int, cdf_rows: np.ndarray,
     return y
 
 
-def word_symbols(keys: np.ndarray, row_idx: np.ndarray, cdf_rows: np.ndarray) -> np.ndarray:
+def word_symbols(keys: np.ndarray, row_idx: np.ndarray, thr_rows: np.ndarray) -> np.ndarray:
     """(len(keys), n) symbol table, one word per key; word m, position t
-    draws from cdf_rows[row_idx[t]] with the keyed uniform stream of keys[m]."""
+    draws from thr_rows[row_idx[t]] with the keyed stream of keys[m]."""
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
-    us = uniform_grid(keys, row_idx.size)
-    return np.sum(cdf_rows[row_idx][None, :, :] <= us[:, :, None], axis=-1, dtype=np.int64)
+    return draw(uniform_grid(keys, row_idx.size), thr_rows[row_idx])
 
 
 def offset_counts(words: np.ndarray, base: np.ndarray, stride: int, ncells: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .rng import make_cdf
+from .rng import thresholds
 
 PROB_TOL = 1e-9          # validity tolerance for pmfs and kernel rows
 STATIONARY_TOL = 1e-12   # required ||pi T - pi||_1 of a returned equilibrium
@@ -99,10 +99,12 @@ class Kernel:
         return self.table.shape[-1]
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        """(prod(input_sizes), output_size) row cdf table for inverse-cdf
-        sampling; row r is the row-major flattened conditioning index."""
-        return _frozen(make_cdf(self.table.reshape(-1, self.output_size)))
+    def thresholds(self) -> np.ndarray:
+        """(prod(input_sizes), output_size - 1) uint64 threshold table for
+        `rng.draw`; row r is the row-major flattened conditioning index."""
+        thr = thresholds(self.table.reshape(-1, self.output_size))
+        thr.setflags(write=False)
+        return thr
 
 
 @dataclass(frozen=True, eq=False)

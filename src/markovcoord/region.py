@@ -37,7 +37,7 @@ from .probability import (
 )
 
 FEASIBILITY_TOL = 1e-9   # slack >= -FEASIBILITY_TOL counts as feasible
-MARGINAL_GAP_TOL = 1e-6  # optimizer's matching requirement on the 5-tuple marginal
+MARGINAL_GAP_TOL = 1e-6  # matching requirement on the 5-tuple marginal of a feasible candidate
 TARGET_TOL = 1e-6        # structural validation tolerance for targets
 
 AX_U, AX_X, AX_W, AX_YP, AX_Y, AX_V = range(6)   # axes of an assembled joint
@@ -175,7 +175,8 @@ class OuterCandidate:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Information-constraint slack and target-marginal match of a candidate."""
+    """Information-constraint slack and target-marginal match of a candidate;
+    feasible needs both slack >= -FEASIBILITY_TOL and marginal_gap <= MARGINAL_GAP_TOL."""
 
     slack: float
     feasible: bool
@@ -216,7 +217,7 @@ def _feasibility(joint: JointDist, target: JointDist) -> FeasibilityReport:
     slack = i_channel - i_aux
     gap = tv_distance(joint.marginal(TARGET_AXES), target)
     return FeasibilityReport(
-        slack=slack, feasible=bool(slack >= -FEASIBILITY_TOL),
+        slack=slack, feasible=bool(slack >= -FEASIBILITY_TOL and gap <= MARGINAL_GAP_TOL),
         marginal_gap=gap, i_channel=i_channel, i_auxiliary=i_aux,
     )
 

@@ -6,6 +6,13 @@ channel noise, source blocks) without storing generator state.  Keys
 fold in Python ints (`derive_key`) or in uint64 arrays (`derive_keys`,
 `fold_keys`); the array forms wrap modulo 2^64 exactly like the masked
 int arithmetic, and `tests/test_kernels` pins them to a pure-int oracle.
+
+Draws are the 53-bit words s = z >> 11 of splitmix64 outputs z, and
+`draw(s, thresholds(pmf))` is inversion (Devroye 1986, sec. 2.2) in
+integers: for u = s * 2^-53 and a cdf entry c, u >= c iff
+s >= ceil(c * 2^53), since scaling by 2^53 is exact and s is an integer.
+A cdf entry 0 gives threshold 0 (always reached), one >= 1 gives 2^53
+(never reached).
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ MASK64 = (1 << 64) - 1
 PHI64 = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 _U_PHI = np.uint64(PHI64)
 _U_MIX1 = np.uint64(MIX1)
@@ -61,33 +66,28 @@ def _finalize_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def uniforms(key: int, n: int, start: int = 0) -> np.ndarray:
-    """Uniforms in [0, 1) at counters start..start+n-1 of the keyed stream."""
-    c = np.arange(start + 1, start + n + 1, dtype=np.uint64) * _U_PHI
-    z = _finalize_u64(np.uint64(key) + c)
-    return (z >> np.uint64(11)) * _INV_2_53
+def uniforms(key: int, n: int) -> np.ndarray:
+    """53-bit words at counters 1..n of the keyed stream; row 0 of
+    uniform_grid([key], n)."""
+    c = np.arange(1, n + 1, dtype=np.uint64) * _U_PHI
+    return _finalize_u64(np.uint64(key) + c) >> np.uint64(11)
 
 
 def uniform_grid(keys: np.ndarray, n: int) -> np.ndarray:
-    """(len(keys), n) uniforms; row i is the stream of keys[i]."""
+    """(len(keys), n) 53-bit words; row i is the stream of keys[i]."""
     c = np.arange(1, n + 1, dtype=np.uint64) * _U_PHI
-    z = _finalize_u64(keys.astype(np.uint64)[:, None] + c[None, :])
-    return (z >> np.uint64(11)) * _INV_2_53
+    return _finalize_u64(keys.astype(np.uint64)[:, None] + c[None, :]) >> np.uint64(11)
 
 
-def make_cdf(pmf: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative distribution with the last entry pinned to 1.0.
-
-    Pinning removes the risk of a uniform falling past the final bin when
-    the row sums to 1 only within tolerance.
-    """
+def thresholds(pmf: np.ndarray) -> np.ndarray:
+    """Row-wise uint64 thresholds ceil(min(c_k, 1) * 2^53) of the cdf
+    entries c_k before the last (that one is 1 and never reached)."""
     pmf = np.asarray(pmf, dtype=np.float64)
-    cdf = np.cumsum(pmf / pmf.sum(axis=-1, keepdims=True), axis=-1)
-    cdf[..., -1] = 1.0
-    return cdf
+    cdf = np.cumsum(pmf / pmf.sum(axis=-1, keepdims=True), axis=-1)[..., :-1]
+    return np.ceil(np.minimum(cdf, 1.0) * 2.0 ** 53).astype(np.uint64)
 
 
-def sample_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: symbol = #{k : cdf[k] <= u}."""
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
+def draw(s: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Inverse-cdf symbols #{k : thr[..., k] <= s}; s broadcasts against
+    the leading axes of thr."""
+    return np.count_nonzero(thr <= s[..., None], axis=-1)

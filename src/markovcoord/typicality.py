@@ -23,7 +23,7 @@ from .probability import (
     induced_transition,
     stationary_dist,
 )
-from .rng import derive_key, derive_keys, fold_keys, make_cdf, sample_from_cdf, uniform_grid
+from .rng import derive_key, derive_keys, draw, fold_keys, thresholds, uniform_grid
 
 MAX_EXACT_PAIRS = 10 ** 7      # default enumeration guard for audits
 AUDIT_CHUNK_SYMBOLS = 1 << 14  # sampled-audit trials x n per batched pass; bounds memory
@@ -314,7 +314,7 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
         )
         mode_used = "exact"
     else:
-        x_cdf = make_cdf(px.pmf)
+        x_thr = thresholds(px.pmf)
         trial_root = derive_key(seed, 5001)
         chunk = max(1, AUDIT_CHUNK_SYMBOLS // n)
         typical = 0
@@ -323,8 +323,8 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
             # trial t draws x from derive_key(derive_key(seed, 5001, t), 0)
             # and the channel from the same key folded with 1
             keys = derive_keys(trial_root, np.arange(lo, min(lo + chunk, sample_size)))
-            x = sample_from_cdf(x_cdf, uniform_grid(fold_keys(keys, 0), n))
-            y = kernels.markov_path(x, y0, w.cdf, fold_keys(keys, 1))
+            x = draw(uniform_grid(fold_keys(keys, 0), n), x_thr)
+            y = kernels.markov_path(x, y0, w.thresholds, fold_keys(keys, 1))
             yprev = np.concatenate([np.full((y.shape[0], 1), y0), y[:, :-1]], axis=1)
             counts = kernels.offset_counts((yprev * nx + x) * ny + y,
                                            np.zeros(n, dtype=np.int64), 1, q_flat.size)

@@ -177,6 +177,15 @@ def binary_grid_slack(target_pmf, i_channel, step=0.05, tol=1e-9):
 MASK64 = (1 << 64) - 1
 
 
+def make_cdf(pmf):
+    """Float reference for rng.thresholds: row-wise cdf of the normalized
+    pmf with the last entry pinned to 1.0."""
+    pmf = np.asarray(pmf, dtype=np.float64)
+    cdf = np.cumsum(pmf / pmf.sum(axis=-1, keepdims=True), axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
 def splitmix_uniform(key, counter):
     """Uniform at (1-based) counter of the keyed splitmix64 stream, in
     Python ints: z = key + counter * phi, finalized, top 53 bits."""

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
+
+# Derandomized, so every run checks the same examples (the package is deterministic too).
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def make_flip_candidate(p0, p1, a0, a1, vmix, u_pmf=(0.5, 0.5), x_pmf=(0.5, 0.5)):

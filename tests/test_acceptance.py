@@ -49,7 +49,7 @@ from markovcoord.region import (
     witness_w_copies_v,
     witness_w_equals_u,
 )
-from markovcoord.rng import derive_key, make_cdf, sample_from_cdf, uniforms
+from markovcoord.rng import derive_key, draw, thresholds, uniforms
 from markovcoord.typicality import aep_audit, prop1_gaps, triplet_type
 
 
@@ -129,13 +129,13 @@ def test_criterion_04_ergodicity():
     cand = _blessed()
     pi = stationary_dist(induced_transition(cand.p_x, cand.channel))
     q3 = np.einsum("i,x,xij->ixj", pi.pmf, cand.p_x.pmf, cand.channel.table)
-    x_cdf = make_cdf(cand.p_x.pmf)
+    x_thr = thresholds(cand.p_x.pmf)
     medians = {}
     hits = 0
     for n in (1000, 10000):
         gaps = []
         for seed in range(100):
-            x = sample_from_cdf(x_cdf, uniforms(derive_key(404, n, seed, 0), n))
+            x = draw(uniforms(derive_key(404, n, seed, 0), n), x_thr)
             y = channel_block(x, 0, cand.channel, derive_key(404, n, seed, 1))
             t = triplet_type(x, y, 0, 2, 2)
             gaps.append(float(np.abs(t.normalized - q3).sum()))
@@ -157,10 +157,10 @@ def test_criterion_05_projection_closure():
     checked = fired = 0
     for k, (px, w) in enumerate(instances):
         pi = stationary_dist(induced_transition(px, w))
-        x_cdf = make_cdf(px.pmf)
+        x_thr = thresholds(px.pmf)
         for trial in range(pairs_per_instance):
             n = 40 if trial % 2 else 80
-            x = sample_from_cdf(x_cdf, uniforms(derive_key(606, k, trial, 0), n))
+            x = draw(uniforms(derive_key(606, k, trial, 0), n), x_thr)
             y = channel_block(x, 0, w, derive_key(606, k, trial, 1))
             gaps = prop1_gaps(x, y, 0, px, w, pi)
             checked += 1
@@ -235,13 +235,13 @@ def test_criterion_07_covering_regime():
     cand = _blessed()
     n = 300
     rate = cand.i_auxiliary + 0.15
-    u_cdf = make_cdf(cand.p_u.pmf)
+    u_thr = thresholds(cand.p_u.pmf)
     fails = total = 0
     for seed in range(20):
         cb = Codebook(cand, n, rate, seed=derive_key(707, seed))
         m_prev = 0
         for b in range(200):
-            u = sample_from_cdf(u_cdf, uniforms(derive_key(708, seed, b), n))
+            u = draw(uniforms(derive_key(708, seed, b), n), u_thr)
             m = encode_block(u, m_prev, cb, BLESSED["eps_cover"])
             total += 1
             if m is None:

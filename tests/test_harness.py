@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from markovcoord import probability
+from markovcoord import harness, probability
 from markovcoord.cli import main as cli_main
+from markovcoord.codec import run_scheme
 from markovcoord.harness import (
     KINDS,
     ParseError,
@@ -378,3 +379,35 @@ def test_cli_seed_and_trials_override(tmp_path):
     assert cli_main(["simulate", "--config", str(path), "--out", str(out2),
                      "--trials", "2", "--seed", "99"]) == 0
     assert open(out1 / "records.csv").read() == open(out2 / "records.csv").read()
+
+
+def test_region_feasible_requires_the_marginal_match():
+    # w_size 1 is a constant W: the slack stays I(X;Y|Y') but the target is missed
+    raw = default_config("region")
+    raw["sweep"] = {"w_size": [1]}
+    raw["master_seed"] = 1
+    m = run_experiment(config_from_dict(raw)).rows[0]["metrics"]
+    assert m["best_marginal_gap"] > 1e-6
+    assert m["best_slack"] == pytest.approx(m["i_channel"])
+    assert m["best_feasible"] == 0
+
+
+def test_simulate_records_count_decode_outcomes(monkeypatch):
+    runs = []
+
+    def recording_run_scheme(scfg):
+        runs.append(run_scheme(scfg))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "run_scheme", recording_run_scheme)
+    raw = _simulate_raw(trials=4)
+    raw["sweep"]["num_blocks"] = [6]
+    rows = run_experiment(config_from_dict(raw)).rows
+    assert len(rows) == len(runs) == 4
+    for row, r in zip(rows, runs):
+        m = row["metrics"]
+        decoded = r.decode_status[1:]
+        assert m["decode_none"] == decoded.count("none")
+        assert m["decode_ambiguous"] == decoded.count("ambiguous")
+        assert m["decode_none"] + m["decode_ambiguous"] + decoded.count("ok") == 5
+    assert sum(row["metrics"]["decode_none"] for row in rows) > 0

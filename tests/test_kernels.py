@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     channel_path_loop,
+    inverse_cdf_symbol,
+    make_cdf,
     offset_counts_loop,
     splitmix_uniform,
     typical_set_scan,
@@ -14,37 +16,84 @@ from _oracles import (
 )
 
 from markovcoord import kernels
-from markovcoord.rng import derive_key, derive_keys, fold_keys, make_cdf, uniforms
+from markovcoord.rng import (
+    derive_key,
+    derive_keys,
+    draw,
+    fold_keys,
+    thresholds,
+    uniform_grid,
+    uniforms,
+)
+
+TWO_53 = 2 ** 53
 
 
-def _cdf_with_zero_cells(rng, rows, ny):
-    """Random row cdfs in which about a third of the cells have mass 0."""
+def _pmf_with_zero_cells(rng, rows, ny):
+    """Random pmf rows in which about a third of the cells have mass 0."""
     pmf = rng.random((rows, ny)) * (rng.random((rows, ny)) > 0.35)
     pmf[np.arange(rows), rng.integers(0, ny, rows)] += 0.05  # no empty row
-    return make_cdf(pmf)
+    return pmf
+
+
+def _float_uniforms(key, n):
+    return [splitmix_uniform(key, t + 1) for t in range(n)]
+
+
+@st.composite
+def _pmfs_with_zeros(draw_):
+    """1-6 symbols, about a third of them zero (leading and trailing too)."""
+    cells = draw_(st.lists(st.tuples(st.integers(0, 2), st.floats(1e-300, 1.0)),
+                           min_size=1, max_size=6))
+    pmf = [0.0 if zero == 0 else p for zero, p in cells]
+    if not any(pmf):
+        pmf[draw_(st.integers(0, len(pmf) - 1))] = 1.0
+    return np.array(pmf)
+
+
+@given(_pmfs_with_zeros(), st.lists(st.integers(0, TWO_53 - 1), max_size=20))
+@example(np.array([0.0, 0.3, 0.7]), [])
+@example(np.array([0.5, 0.5, 0.0]), [])
+@example(np.array([1.0, 0.0]), [])
+@example(np.array([0.0, 1.0]), [])
+@example(np.array([1e-300, 1 - 1e-300]), [])
+@example(np.array([0.0, 0.0, 1.0]), [])
+@example(np.array([0.1, 0.2, 0.3, 0.4, 0.0, 0.0]), [])
+@settings(max_examples=300, deadline=None)
+def test_draw_matches_float_rule(pmf, random_s):
+    thr = thresholds(pmf)
+    assert thr.dtype == np.uint64 and thr.shape == (pmf.size - 1,)
+    near = [int(t) + d for t in thr for d in (-1, 0, 1)]
+    s = np.array(sorted({v for v in near + [0, TWO_53 - 1] + random_s if 0 <= v < TWO_53}),
+                 dtype=np.uint64)
+    cdf = make_cdf(pmf)
+    expected = [inverse_cdf_symbol(cdf, int(v) * 2.0 ** -53) for v in s]
+    assert draw(s, thr).tolist() == expected
 
 
 def test_markov_path_matches_loop():
     rng = np.random.default_rng(0)
-    cdf = make_cdf(rng.dirichlet(np.ones(3), size=6))  # nx*ny = 6 rows, ny = 3
+    pmf = rng.dirichlet(np.ones(3), size=6)  # nx*ny = 6 rows, ny = 3
     n = 2 * kernels.PATH_SEGMENT_SYMBOLS + 123  # crosses two segment boundaries
     x = rng.integers(0, 2, n).astype(np.int64)
-    y = kernels.markov_path(x, 1, cdf, 987)
+    y = kernels.markov_path(x, 1, thresholds(pmf), 987)
     assert y.dtype == np.int64
-    assert np.array_equal(y, channel_path_loop(x, 1, cdf, uniforms(987, n)))
+    assert np.array_equal(y, channel_path_loop(x, 1, make_cdf(pmf), _float_uniforms(987, n)))
 
 
 @pytest.mark.parametrize("segment", [1, 5, 24, 97])
 def test_markov_path_segments_carry_the_state(monkeypatch, segment):
     rng = np.random.default_rng(segment)
-    cdf = _cdf_with_zero_cells(rng, 6, 3)
+    pmf = _pmf_with_zero_cells(rng, 6, 3)
     x = rng.integers(0, 2, (4, 300)).astype(np.int64)
     keys = derive_keys(segment, np.arange(4))
-    expected = np.stack([channel_path_loop(x[i], 1, cdf, uniforms(int(keys[i]), 300))
+    expected = np.stack([channel_path_loop(x[i], 1, make_cdf(pmf),
+                                           _float_uniforms(int(keys[i]), 300))
                          for i in range(4)])
     monkeypatch.setattr(kernels, "PATH_SEGMENT_SYMBOLS", segment)
-    assert np.array_equal(kernels.markov_path(x, 1, cdf, keys), expected)
-    assert np.array_equal(kernels.markov_path(x[0], 1, cdf, int(keys[0])), expected[0])
+    thr = thresholds(pmf)
+    assert np.array_equal(kernels.markov_path(x, 1, thr, keys), expected)
+    assert np.array_equal(kernels.markov_path(x[0], 1, thr, int(keys[0])), expected[0])
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 1000),
@@ -53,10 +102,10 @@ def test_markov_path_segments_carry_the_state(monkeypatch, segment):
 def test_markov_path_property(nx, ny, n, seed, key, data):
     y0 = data.draw(st.integers(0, ny - 1))
     rng = np.random.default_rng(seed)
-    cdf = _cdf_with_zero_cells(rng, nx * ny, ny)
+    pmf = _pmf_with_zero_cells(rng, nx * ny, ny)
     x = rng.integers(0, nx, n).astype(np.int64)
-    y = kernels.markov_path(x, y0, cdf, key)
-    assert np.array_equal(y, channel_path_loop(x, y0, cdf, uniforms(key, n)))
+    y = kernels.markov_path(x, y0, thresholds(pmf), key)
+    assert np.array_equal(y, channel_path_loop(x, y0, make_cdf(pmf), _float_uniforms(key, n)))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 200),
@@ -65,21 +114,21 @@ def test_markov_path_property(nx, ny, n, seed, key, data):
 def test_batched_markov_path_equals_stacked_rows(nx, ny, n, rows, seed, data):
     y0 = data.draw(st.integers(0, ny - 1))
     rng = np.random.default_rng(seed)
-    cdf = _cdf_with_zero_cells(rng, nx * ny, ny)
+    thr = thresholds(_pmf_with_zero_cells(rng, nx * ny, ny))
     x = rng.integers(0, nx, (rows, n)).astype(np.int64)
     keys = derive_keys(seed, np.arange(rows))
-    stacked = np.stack([kernels.markov_path(x[i], y0, cdf, int(keys[i]))
+    stacked = np.stack([kernels.markov_path(x[i], y0, thr, int(keys[i]))
                         for i in range(rows)])
-    assert np.array_equal(kernels.markov_path(x, y0, cdf, keys), stacked)
+    assert np.array_equal(kernels.markov_path(x, y0, thr, keys), stacked)
 
 
 def test_word_symbols_matches_int_oracle():
     rng = np.random.default_rng(1)
-    cdf = _cdf_with_zero_cells(rng, 2, 4)
+    pmf = _pmf_with_zero_cells(rng, 2, 4)
     keys = derive_keys(55, np.arange(40, dtype=np.int64))
     row_idx = rng.integers(0, 2, 64).astype(np.int64)
-    assert np.array_equal(kernels.word_symbols(keys, row_idx, cdf),
-                          word_symbols_loop(keys, row_idx, cdf))
+    assert np.array_equal(kernels.word_symbols(keys, row_idx, thresholds(pmf)),
+                          word_symbols_loop(keys, row_idx, make_cdf(pmf)))
 
 
 def test_offset_counts_matches_loop():
@@ -134,8 +183,10 @@ def test_uniforms_are_in_unit_interval_and_reproducible():
     u1 = uniforms(42, 1000)
     u2 = uniforms(42, 1000)
     assert np.array_equal(u1, u2)
-    assert u1.min() >= 0.0 and u1.max() < 1.0
-    # counter offset slices the same stream
-    assert np.array_equal(uniforms(42, 10, start=5), u1[5:15])
+    assert u1.dtype == np.uint64 and int(u1.max()) < TWO_53
+    # uniforms(key, n) is row 0 of uniform_grid([key, ...], n)
+    grid = uniform_grid(np.array([42, 43], dtype=np.uint64), 1000)
+    assert np.array_equal(grid[0], u1) and np.array_equal(grid[1], uniforms(43, 1000))
     key = 2 ** 64 - 3  # the counter sum wraps modulo 2^64
-    assert list(uniforms(key, 50)) == [splitmix_uniform(key, t + 1) for t in range(50)]
+    assert [int(s) for s in uniforms(key, 50)] == [
+        int(splitmix_uniform(key, t + 1) * TWO_53) for t in range(50)]

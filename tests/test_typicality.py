@@ -15,7 +15,7 @@ from markovcoord.probability import (
     induced_transition,
     stationary_dist,
 )
-from markovcoord.rng import derive_key, make_cdf, sample_from_cdf, uniforms
+from markovcoord.rng import derive_key, draw, thresholds, uniforms
 from markovcoord import kernels
 from markovcoord.codec import channel_block
 from markovcoord.typicality import (
@@ -34,7 +34,7 @@ from markovcoord.typicality import (
 
 
 def _sample_pair(px, w, n, y0, seed):
-    x = sample_from_cdf(make_cdf(px.pmf), uniforms(derive_key(seed, 0), n))
+    x = draw(uniforms(derive_key(seed, 0), n), thresholds(px.pmf))
     y = channel_block(x, y0, w, derive_key(seed, 1))
     return x, y
 
@@ -317,14 +317,14 @@ def _sampled_audit_loop(n, eps, px, w, y0, sample_size, seed):
     nx, ny = px.size, w.output_size
     pi = stationary_dist(induced_transition(px, w))
     q = np.einsum("i,x,xij->ixj", pi.pmf, px.pmf, w.table)
-    x_cdf = make_cdf(px.pmf)
-    w_cdf = make_cdf(w.table.reshape(nx * ny, ny))
+    x_thr = thresholds(px.pmf)
+    w_thr = thresholds(w.table.reshape(nx * ny, ny))
     typical = 0
     nll_min, nll_max = np.inf, -np.inf
     for trial in range(sample_size):
         key = derive_key(seed, 5001, trial)
-        x_seq = sample_from_cdf(x_cdf, uniforms(derive_key(key, 0), n))
-        y_seq = kernels.markov_path(x_seq, y0, w_cdf, derive_key(key, 1))
+        x_seq = draw(uniforms(derive_key(key, 0), n), x_thr)
+        y_seq = kernels.markov_path(x_seq, y0, w_thr, derive_key(key, 1))
         t = triplet_type(x_seq, y_seq, y0, nx, ny)
         if float(np.abs(t.normalized - q).sum()) <= eps:
             typical += 1
