@@ -28,7 +28,7 @@ from . import kernels
 from .probability import Kernel
 from .region import InnerCandidate
 from .rng import derive_key, derive_keys, draw, thresholds, uniforms
-from .typicality import FullType, _check_seq, full_type, triplet_type
+from .typicality import FullType, _check_seq, full_type
 
 MEMORY_GUARD_CELLS = 10 ** 8
 DEFAULT_SCAN_LIMIT = 1 << 16  # covering-search cap when 2^{nR} is astronomical
@@ -55,8 +55,17 @@ class DecodeResult:
 
 
 def message_count(n: int, rate: float) -> int:
-    """Codebook size ceil(2^{n R}); at least one codeword."""
-    return max(1, math.ceil(2.0 ** (n * rate)))
+    """Codebook size ceil(2^{n R}); at least one codeword.
+
+    Past the float range (n R >= 1024) the size is an exact Python int:
+    2^{n R - k} carried to 53 bits and shifted by k - 52, with k = floor(n R).
+    """
+    x = n * rate
+    try:
+        return max(1, math.ceil(2.0 ** x))
+    except OverflowError:
+        k = math.floor(x)
+        return math.ceil(2.0 ** (x - k) * 2 ** 52) << (k - 52)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +180,8 @@ class Codebook:
 def _cover_gaps(candidate: InnerCandidate, u_prev: np.ndarray, x_prev: np.ndarray,
                 w_chunk: np.ndarray, n: int) -> np.ndarray:
     nu, nx, nw, _, _ = candidate.sizes
-    base = (u_prev * nx + x_prev) * nw
-    counts = kernels.offset_counts(w_chunk, base, 1, nu * nx * nw)
-    return np.abs(counts / n - candidate.cover_target.ravel()).sum(axis=1)
+    counts = kernels.row_counts((u_prev * nx + x_prev) * nw + w_chunk, nu * nx * nw)
+    return kernels.l1_gaps(counts, n, candidate.cover_target)
 
 
 def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
@@ -217,6 +225,8 @@ def channel_block(x_block: np.ndarray, y_init: int, channel: Kernel,
     The caller threads y_init = last output of the previous block, which
     preserves the cross-block memory of the channel.
     """
+    if not 0 <= y_init < channel.output_size:
+        raise ValueError(f"y_init={y_init} outside [0, {channel.output_size})")
     return kernels.markov_path(x_block, y_init, channel.thresholds, key)
 
 
@@ -229,21 +239,16 @@ def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
     nu, nx, nw, ny, nv = candidate.sizes
     n = cb.n
     # condition 1: (y_cur, X(m)) against pi x P_X x W, all candidates
-    yprev_cur = np.concatenate([[boundary_cur], y_cur[:-1]])
-    base1 = yprev_cur * (nx * ny) + y_cur
-    counts1 = kernels.offset_counts(cb.x_rows(0, cb.m_count), base1, ny,
-                                    ny * nx * ny)
-    gaps1 = np.abs(counts1 / n - candidate.decode_target1.ravel()).sum(axis=1)
-    # condition 2: (y_prev, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W
+    counts1 = kernels.triplet_counts(cb.x_rows(0, cb.m_count), y_cur, boundary_cur, nx, ny)
+    gaps1 = kernels.l1_gaps(counts1, n, candidate.decode_target1)
+    # condition 2: (y_prev, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W,
+    # a triplet count whose input symbol is the pair x * nw + w
     idx = np.flatnonzero(gaps1 <= eps)
     gaps2 = np.full(cb.m_count, np.inf)
     if idx.size:
-        x_prev = cb.x_word(m_prev)
-        yprev_prev = np.concatenate([[boundary_prev], y_prev[:-1]])
-        base2 = ((yprev_prev * nx + x_prev) * nw) * ny + y_prev
-        counts2 = kernels.offset_counts(cb.w_rows_at(m_prev, idx), base2, ny,
-                                        ny * nx * nw * ny)
-        gaps2[idx] = np.abs(counts2 / n - candidate.decode_target2.ravel()).sum(axis=1)
+        xw = cb.x_word(m_prev) * nw + cb.w_rows_at(m_prev, idx)
+        counts2 = kernels.triplet_counts(xw, y_prev, boundary_prev, nx * nw, ny)
+        gaps2[idx] = kernels.l1_gaps(counts2, n, candidate.decode_target2)
     return gaps1, gaps2
 
 
@@ -338,9 +343,6 @@ def run_scheme(cfg: SchemeConfig,
     cand = cfg.candidate
     nu, nx, nw, ny, nv = cand.sizes
     n, B = cfg.n, cfg.num_blocks
-    cb = Codebook(cand, n, cfg.rate, cfg.seed)
-    cb.materialize_x()
-
     if source_blocks is None:
         u_thr = thresholds(cand.p_u.pmf)
         u_blocks = [draw(uniforms(derive_key(cfg.seed, _TAG_U, b), n), u_thr)
@@ -348,7 +350,14 @@ def run_scheme(cfg: SchemeConfig,
     else:
         if len(source_blocks) != B:
             raise ValueError("source_blocks must supply one block per block")
-        u_blocks = [np.asarray(u, dtype=np.int64) for u in source_blocks]
+        u_blocks = [_check_seq(u, nu, f"source_blocks[{b}]")
+                    for b, u in enumerate(source_blocks)]
+        for b, u in enumerate(u_blocks):
+            if u.size != n:
+                raise ValueError(f"source_blocks[{b}] length {u.size} does not match n={n}")
+
+    cb = Codebook(cand, n, cfg.rate, cfg.seed)
+    cb.materialize_x()
 
     true_m = np.zeros(B, dtype=np.int64)
     event_a = np.zeros(B, dtype=bool)
@@ -371,10 +380,8 @@ def run_scheme(cfg: SchemeConfig,
                                       derive_key(cfg.seed, _TAG_CHAN, b)))
         y_state = int(y_blocks[b][-1])
 
-    event_b = np.zeros(B, dtype=bool)
-    for b in range(B):
-        t = triplet_type(x_blocks[b], y_blocks[b], int(boundaries[b]), nx, ny)
-        event_b[b] = float(np.abs(t.normalized - cand.decode_target1).sum()) > cfg.eps
+    counts = kernels.triplet_counts(np.stack(x_blocks), np.stack(y_blocks), boundaries, nx, ny)
+    event_b = kernels.l1_gaps(counts, n, cand.decode_target1) > cfg.eps
 
     decoded_m = np.zeros(B, dtype=np.int64)
     status: List[str] = [DecodeStatus.OK.value]

@@ -5,6 +5,11 @@ generation, count tables for codeword scans, and exhaustive sequence-pair
 enumeration for the AEP audit.  Everything else in the package is cheap
 enough to write inline.
 
+Every count table in the package is `row_counts`, adjacent triplets in
+cell order (y' * nx + x) * ny + y are `triplet_counts` (y' from
+`prev_states`), and every count-vs-target gap is `l1_gaps`, so the cell
+order and gap expression that fix the gap floats live here alone.
+
 Channel sampling is a prefix composition.  With the 53-bit word s_t
 drawn, step t of the channel is a fixed map g_t on the state alphabet,
 g_t(y) = draw(s_t, thresholds[x_t, y]), and y_t = (g_t o ... o g_1)(y_0).
@@ -67,13 +72,36 @@ def word_symbols(keys: np.ndarray, row_idx: np.ndarray, thr_rows: np.ndarray) ->
     return draw(uniform_grid(keys, row_idx.size), thr_rows[row_idx])
 
 
-def offset_counts(words: np.ndarray, base: np.ndarray, stride: int, ncells: int) -> np.ndarray:
-    """Per-row count tables: row m counts cells base[t] + words[m, t] * stride."""
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    base = np.ascontiguousarray(base, dtype=np.int64)
-    m = words.shape[0]
-    flat = base[None, :] + words * int(stride) + (np.arange(m, dtype=np.int64) * ncells)[:, None]
-    return np.bincount(flat.ravel(), minlength=m * ncells).reshape(m, ncells)
+def prev_states(y: np.ndarray, y0) -> np.ndarray:
+    """y shifted one step right along its last axis, with y0 in front;
+    y0 is a scalar or one state per row."""
+    y = np.asarray(y, dtype=np.int64)
+    out = np.empty_like(y)
+    out[..., 0] = y0
+    out[..., 1:] = y[..., :-1]
+    return out
+
+
+def row_counts(cells: np.ndarray, ncells: int) -> np.ndarray:
+    """Count tables along the last axis: out[..., c] = #{t : cells[..., t] == c}."""
+    cells = np.asarray(cells, dtype=np.int64)
+    lead = cells.shape[:-1]
+    rows = math.prod(lead)
+    if rows > 1:  # row r counts in cells r * ncells .. (r + 1) * ncells - 1
+        cells = cells + np.arange(0, rows * ncells, ncells).reshape(*lead, 1)
+    return np.bincount(cells.ravel(), minlength=rows * ncells).reshape(*lead, ncells)
+
+
+def triplet_counts(x: np.ndarray, y: np.ndarray, y0, nx: int, ny: int) -> np.ndarray:
+    """Adjacent-triplet count tables of int arrays x and y, broadcast against
+    each other: cell (y_{t-1} * nx + x_t) * ny + y_t, y0 (scalar or one per
+    row of y) as y_0.  The y part is summed on y's own shape first."""
+    return row_counts(prev_states(y, y0) * (nx * ny) + y + x * ny, ny * nx * ny)
+
+
+def l1_gaps(counts: np.ndarray, n: int, target: np.ndarray) -> np.ndarray:
+    """l1 distance of each count table (last axis) over n from the flat target."""
+    return np.abs(counts / n - target.ravel()).sum(axis=-1)
 
 
 def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
@@ -87,14 +115,10 @@ def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
 
     nx_rows, _ = xdig.shape
     ncells = q_flat.size
-    x_counts = np.stack([np.bincount(r, minlength=nx) for r in xdig])
+    x_counts = row_counts(xdig, nx)
     x_logp = x_counts @ np.where(np.isfinite(logpx), logpx, 0.0)
     x_support_ok = ~np.any((x_counts > 0) & ~np.isfinite(logpx)[None, :], axis=1)
     logw_safe = np.where(support_flat, logw_flat, 0.0)
-
-    yprev = np.concatenate([np.full((ydig.shape[0], 1), y0, dtype=np.int64),
-                            ydig[:, :-1]], axis=1)
-    ybase = yprev * (nx * ny) + ydig  # cell index with the x contribution left out
 
     block = max(1, AEP_PASS_CELLS // (nx_rows * ncells))  # y sequences per pass
     typical = 0
@@ -102,14 +126,8 @@ def aep_enumerate(xdig, ydig, y0, logpx, logw_flat, support_flat, q_flat,
     prob_all = 0.0
     nll_min, nll_max = np.inf, -np.inf
     for lo in range(0, ydig.shape[0], block):
-        yb = ybase[lo:lo + block]
-        b = yb.shape[0]
-        cells = yb[:, None, :] + xdig[None, :, :] * ny  # (b, Nx, n)
-        pair_ids = np.arange(b * nx_rows, dtype=np.int64).reshape(b, nx_rows, 1)
-        counts = np.bincount(
-            (cells + pair_ids * ncells).ravel(), minlength=b * nx_rows * ncells
-        ).reshape(b, nx_rows, ncells)
-        gap = np.abs(counts / n - q_flat[None, None, :]).sum(axis=-1)
+        counts = triplet_counts(xdig, ydig[lo:lo + block, None, :], y0, nx, ny)  # (b, Nx, cells)
+        gap = l1_gaps(counts, n, q_flat)
         w_ok = ~np.any((counts > 0) & ~support_flat[None, None, :], axis=-1)
         logp = counts @ logw_safe + x_logp[None, :]
         ok = w_ok & x_support_ok[None, :]

@@ -111,9 +111,7 @@ def triplet_type(x_seq, y_seq, y0: int, x_size: int, y_size: int) -> TripletType
     x_seq, y_seq = _check_pair(x_seq, y_seq, y0, x_size, y_size)
     if x_seq.size < 1:
         raise ValueError("sequences must have length >= 1")
-    yprev = np.concatenate([[y0], y_seq[:-1]])
-    cells = (yprev * x_size + x_seq) * y_size + y_seq
-    counts = np.bincount(cells, minlength=y_size * x_size * y_size)
+    counts = kernels.triplet_counts(x_seq, y_seq, y0, x_size, y_size)
     return TripletType(counts.reshape(y_size, x_size, y_size), x_seq.size)
 
 
@@ -132,9 +130,9 @@ def full_type(u_seq, x_seq, y_seq, v_seq, y0: int,
         raise ValueError("sequences must have length >= 1")
     if not 0 <= y0 < ny:
         raise ValueError("y0 out of range")
-    yprev = np.concatenate([[y0], y_seq[:-1]])
+    yprev = kernels.prev_states(y_seq, y0)
     cells = (((u_seq * nx + x_seq) * ny + yprev) * ny + y_seq) * nv + v_seq
-    counts = np.bincount(cells, minlength=nu * nx * ny * ny * nv)
+    counts = kernels.row_counts(cells, nu * nx * ny * ny * nv)
     return FullType(counts.reshape(nu, nx, ny, ny, nv), n)
 
 
@@ -154,9 +152,11 @@ def project_type(t: TripletType):
 
 def conditional_gap(x_seq, y_seq, y0: int, pi: Dist, w: Kernel) -> float:
     """l1 gap between the triplet type and pi x (empirical x-marginal) x w."""
-    nx = w.input_sizes[0]
-    ny = w.output_size
-    t = triplet_type(x_seq, y_seq, y0, nx, ny)
+    t = triplet_type(x_seq, y_seq, y0, w.input_sizes[0], w.output_size)
+    return _conditional_gap(t, pi, w)
+
+
+def _conditional_gap(t: TripletType, pi: Dist, w: Kernel) -> float:
     qx = t.counts.sum(axis=(0, 2)) / t.n
     ref = np.einsum("i,x,xij->ixj", pi.pmf, qx, w.table)
     return float(np.abs(t.normalized - ref).sum())
@@ -168,8 +168,7 @@ def sequence_log_prob(x_seq, y_seq, y0: int, px: Dist, w: Kernel) -> float:
     Returns -inf when the path crosses a zero-probability factor.
     """
     x_seq, y_seq = _check_pair(x_seq, y_seq, y0, px.size, w.output_size)
-    yprev = np.concatenate([[y0], y_seq[:-1]])
-    probs = px.pmf[x_seq] * w.table[x_seq, yprev, y_seq]
+    probs = px.pmf[x_seq] * w.table[x_seq, kernels.prev_states(y_seq, y0), y_seq]
     if np.any(probs <= 0.0):
         return float("-inf")
     return float(np.log2(probs).sum())
@@ -193,7 +192,7 @@ def prop1_gaps(x_seq, y_seq, y0: int, px: Dist, w: Kernel,
     x_gap = float(np.abs(x_marg - px.pmf).sum())
     t_matrix = np.einsum("x,xij->ij", px.pmf, w.table)
     pair_gap = float(np.abs(pair_marg - pi.pmf[:, None] * t_matrix).sum())
-    cond = conditional_gap(x_seq, y_seq, y0, pi, w)
+    cond = _conditional_gap(t, pi, w)
     return {"joint": joint, "x": x_gap, "pair": pair_gap, "conditional": cond}
 
 
@@ -275,6 +274,12 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
     """
     if mode not in ("auto", "exact", "sample"):
         raise ValueError(f"unknown audit mode {mode!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     nx, ny = px.size, w.output_size
     if not 0 <= y0 < ny:
         raise ValueError("y0 out of range")
@@ -325,13 +330,10 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
             keys = derive_keys(trial_root, np.arange(lo, min(lo + chunk, sample_size)))
             x = draw(uniform_grid(fold_keys(keys, 0), n), x_thr)
             y = kernels.markov_path(x, y0, w.thresholds, fold_keys(keys, 1))
-            yprev = np.concatenate([np.full((y.shape[0], 1), y0), y[:, :-1]], axis=1)
-            counts = kernels.offset_counts((yprev * nx + x) * ny + y,
-                                           np.zeros(n, dtype=np.int64), 1, q_flat.size)
-            hit = np.abs(counts / n - q_flat).sum(axis=1) <= eps
+            hit = kernels.l1_gaps(kernels.triplet_counts(x, y, y0, nx, ny), n, q_flat) <= eps
             if hit.any():
                 typical += int(hit.sum())
-                x, y, yprev = x[hit], y[hit], yprev[hit]
+                x, y, yprev = x[hit], y[hit], kernels.prev_states(y[hit], y0)
                 with np.errstate(divide="ignore"):  # a zero factor gives log2 = -inf
                     logp = np.log2(px.pmf[x] * w.table[x, yprev, y]).sum(axis=1)
                 nll = -logp / n

@@ -221,13 +221,23 @@ def word_symbols_loop(keys, row_idx, cdf_rows):
     return out
 
 
-def offset_counts_loop(words, base, stride, ncells):
-    """Count table per row, one increment per (row, position)."""
-    out = np.zeros((len(words), ncells), dtype=np.int64)
-    for m, word in enumerate(words):
-        for t, s in enumerate(word):
-            out[m, base[t] + s * stride] += 1
+def row_counts_loop(cells, ncells):
+    """Count table of one row of cells, one increment per position."""
+    out = np.zeros(ncells, dtype=np.int64)
+    for c in cells:
+        out[int(c)] += 1
     return out
+
+
+def triplet_counts_loop(x, y, y0, nx, ny):
+    """Adjacent-triplet table of one (x, y) pair, one increment per symbol,
+    in cell order (y_prev, x, y)."""
+    out = np.zeros((ny, nx, ny), dtype=np.int64)
+    prev = int(y0)
+    for xs, ys in zip(x, y):
+        out[prev, int(xs), int(ys)] += 1
+        prev = int(ys)
+    return out.ravel()
 
 
 def packing_decode_full_table(cb, y_prev, y_cur, m_prev, boundaries, eps):

@@ -34,6 +34,16 @@ def test_message_count():
     assert message_count(100, 0.0) == 1
     assert message_count(100, 0.03) == int(np.ceil(2 ** 3.0))
     assert message_count(10, 0.5) == 32
+    # past the float range: an exact int, where 2.0 ** 1500 would overflow
+    assert message_count(300, 5.0) == 2 ** 1500
+    assert message_count(2, 512.25).bit_length() == 1025
+
+
+@pytest.mark.filterwarnings("ignore:rate")
+def test_run_scheme_past_the_float_range_hits_the_memory_guard(cand):
+    cfg = SchemeConfig(candidate=cand, n=300, num_blocks=2, rate=5.0, eps=0.24)
+    with pytest.raises(MemoryGuard):
+        run_scheme(cfg)
 
 
 def test_scheme_config_validation(cand):
@@ -453,6 +463,35 @@ def test_run_scheme_strict_causality(cand):
         perturbed[b] = 1 - perturbed[b]
         r = run_scheme(cfg, source_blocks=perturbed)
         assert np.array_equal(r.true_indices[:b + 1], base.true_indices[:b + 1])
+
+
+@pytest.mark.parametrize("y0", [5, -1])
+def test_channel_block_rejects_out_of_range_y_init(cand, y0):
+    with pytest.raises(ValueError, match="y_init"):
+        joint_packing_event(cand, 50, 0.05, 0.24, y0=y0, seed=0)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (lambda u: np.where(u == 1, 2, u), r"source_blocks\[5\] has symbols"),
+    (lambda u: u[:-1], r"source_blocks\[5\] length"),
+], ids=["symbol", "length"])
+def test_run_scheme_checks_source_blocks_at_entry(cand, monkeypatch, bad, match):
+    calls = []
+    channel = codec.channel_block
+
+    def counted(*args):
+        calls.append(1)
+        return channel(*args)
+
+    monkeypatch.setattr(codec, "channel_block", counted)
+    cfg = SchemeConfig(candidate=cand, n=60, num_blocks=6,
+                       rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"], seed=4)
+    rng = np.random.default_rng(0)
+    blocks = [rng.integers(0, 2, cfg.n) for _ in range(cfg.num_blocks)]
+    blocks[-1] = bad(blocks[-1])
+    with pytest.raises(ValueError, match=match):
+        run_scheme(cfg, source_blocks=blocks)
+    assert not calls
 
 
 def test_run_scheme_cross_block_memory(cand):

@@ -1,5 +1,8 @@
 """Kernels against scalar-loop oracles that share no code with them."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +12,9 @@ from _oracles import (
     channel_path_loop,
     inverse_cdf_symbol,
     make_cdf,
-    offset_counts_loop,
+    row_counts_loop,
     splitmix_uniform,
+    triplet_counts_loop,
     typical_set_scan,
     word_symbols_loop,
 )
@@ -131,13 +135,76 @@ def test_word_symbols_matches_int_oracle():
                           word_symbols_loop(keys, row_idx, make_cdf(pmf)))
 
 
-def test_offset_counts_matches_loop():
-    rng = np.random.default_rng(2)
-    words = rng.integers(0, 2, size=(100, 50)).astype(np.int64)
-    base = rng.integers(0, 4, size=50).astype(np.int64) * 2
-    counts = kernels.offset_counts(words, base, 1, 8)
-    assert np.array_equal(counts, offset_counts_loop(words, base, 1, 8))
-    assert (counts.sum(axis=1) == 50).all()
+# (x leading shape, y leading shape) pairs that broadcast to each count-table shape
+_COUNT_SHAPES = [
+    ((), ()),
+    ((4,), (4,)), ((4,), ()), ((), (4,)),
+    ((2, 3), (2, 3)), ((2, 3), (3,)), ((2, 1), (3,)), ((), (2, 3)),
+]
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 25),
+       st.sampled_from(_COUNT_SHAPES), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_count_tables_match_loop(nx, ny, n, shapes, per_row_y0, seed):
+    x_lead, y_lead = shapes
+    lead = np.broadcast_shapes(x_lead, y_lead)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, nx, x_lead + (n,))
+    y = rng.integers(0, ny, y_lead + (n,))
+    y0 = rng.integers(0, ny, y_lead) if per_row_y0 else int(rng.integers(0, ny))
+    cells = rng.integers(0, nx * ny, lead + (n,))
+
+    triplets = kernels.triplet_counts(x, y, y0, nx, ny)
+    counts = kernels.row_counts(cells, nx * ny)
+    assert triplets.shape == lead + (ny * nx * ny,) and counts.shape == lead + (nx * ny,)
+    xb, yb = np.broadcast_to(x, lead + (n,)), np.broadcast_to(y, lead + (n,))
+    y0b = np.broadcast_to(y0, lead)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(triplets[idx],
+                              triplet_counts_loop(xb[idx], yb[idx], y0b[idx], nx, ny))
+        assert np.array_equal(counts[idx], row_counts_loop(cells[idx], nx * ny))
+
+
+def _nodes_by_function(tree):
+    """(enclosing function name, node) for every node of a module."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            found.append((fn, child))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else fn)
+
+    visit(tree, None)
+    return found
+
+
+def _is_call(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name)
+
+
+def _is_shift(node):
+    """A y' shift: a concatenate of y[..., :-1], or y[..., :-1] stored at [..., 1:]."""
+    if _is_call(node, "concatenate"):
+        return ":-1]" in ast.unparse(node)
+    return (isinstance(node, ast.Assign) and ":-1]" in ast.unparse(node.value)
+            and any("1:]" in ast.unparse(t) for t in node.targets))
+
+
+def test_count_tables_have_one_layer():
+    # every count table is a kernels.row_counts bincount and every y' shift is
+    # kernels.prev_states; a private copy elsewhere in the package fails here
+    stray = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for fn, node in _nodes_by_function(ast.parse(path.read_text())):
+            where = (path.name, fn)
+            if _is_call(node, "bincount") and where != ("kernels.py", "row_counts"):
+                stray.append(f"{path.name}:{node.lineno} bincount in {fn}")
+            if _is_shift(node) and where != ("kernels.py", "prev_states"):
+                stray.append(f"{path.name}:{node.lineno} y' shift in {fn}")
+    assert not stray
 
 
 def test_aep_enumerate_matches_pair_scan(monkeypatch):

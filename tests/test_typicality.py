@@ -168,8 +168,13 @@ _W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
     (lambda: aep_audit(6, 0.24, _PX, _W, y0=-1), "y0 out of range"),
     (lambda: aep_audit(16, 0.24, _PX, _W, y0=2, sample_size=10), "y0 out of range"),
     (lambda: aep_audit(16, 0.24, _PX, _W, y0=-1, sample_size=10), "y0 out of range"),
+    (lambda: aep_audit(0, 0.2, _PX, _W), "^n must be >= 1"),
+    (lambda: aep_audit(6, -0.1, _PX, _W), "^eps must be > 0"),
+    (lambda: aep_audit(16, 0.24, _PX, _W, mode="sample", sample_size=0),
+     "^sample_size must be >= 1"),
 ], ids=["logp-short-x", "logp-y0-neg", "logp-y0-high", "exact-y0-high", "exact-y0-neg",
-        "sampled-y0-high", "sampled-y0-neg"])
+        "sampled-y0-high", "sampled-y0-neg", "audit-n-zero", "audit-eps-negative",
+        "audit-sample-size-zero"])
 def test_bad_sequence_inputs_are_named_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -207,6 +212,24 @@ def test_projection_chain_on_generated_pairs():
                 assert gaps["conditional"] <= 2 * eps + 1e-9
                 assert gaps["joint"] <= 2 * eps + 1e-9
     assert checked_typical > 30  # the hypothesis side fired often enough
+
+
+def test_prop1_gaps_counts_the_type_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    px, w = random_channel_instance(rng, 2, 3)
+    pi = stationary_dist(induced_transition(px, w))
+    x, y = _sample_pair(px, w, 90, 1, 44)
+    calls = []
+    triplet_counts = kernels.triplet_counts
+
+    def counted(*args):
+        calls.append(1)
+        return triplet_counts(*args)
+
+    monkeypatch.setattr(kernels, "triplet_counts", counted)
+    gaps = prop1_gaps(x, y, 1, px, w, pi)
+    assert len(calls) == 1
+    assert gaps["conditional"] == conditional_gap(x, y, 1, pi, w)
 
 
 def test_conditional_gap_triangle_composition():
