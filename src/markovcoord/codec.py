@@ -30,7 +30,10 @@ from .region import InnerCandidate
 from .rng import derive_key, derive_keys, draw, thresholds, uniforms
 from .typicality import FullType, _check_seq, full_type
 
-MEMORY_GUARD_CELLS = 10 ** 8
+MEMORY_GUARD_BYTES = 8 * 10 ** 8  # X plane table plus the per-index decode vectors
+_DECODE_INDEX_BYTES = 40  # gaps1, gaps2, survivor and hit indices and masks, per index
+_DECODE_PASS_BYTES = 1 << 24  # count and word temporaries per decoding pass
+_X_CHUNK_CELLS = 1 << 20  # X symbols generated per materialization pass
 DEFAULT_SCAN_LIMIT = 1 << 16  # covering-search cap when 2^{nR} is astronomical
 _COVER_CHUNK_FIRST, _COVER_CHUNK_MAX = 8, 512  # covering rows per pass, doubling
 
@@ -38,7 +41,7 @@ _TAG_X, _TAG_W, _TAG_U, _TAG_CHAN, _TAG_V, _TAG_ROW = 1, 2, 3, 4, 5, 6
 
 
 class MemoryGuard(RuntimeError):
-    """A table materialization would exceed the cell guard."""
+    """A table materialization would exceed the byte guard."""
 
 
 class DecodeStatus(Enum):
@@ -124,9 +127,11 @@ class Codebook:
     """Random code {X^n(m), W^n(m, m_hat)} generated from a seed.
 
     Codewords are functions of (seed, index) alone, so any index subset
-    generates the same rows as a full table.  `x_words` holds the channel
-    codeword table once `materialize_x` has built it within the memory
-    guard; auxiliary words are generated per index on demand.
+    generates the same rows as a full table.  `x_planes` holds the channel
+    codeword table as `kernels.bit_planes`, (m_count, *kernels.plane_shape(n, nx))
+    uint64, once `materialize_x` has built it within MEMORY_GUARD_BYTES;
+    `x_word` unpacks one row of it.  Auxiliary words are generated per
+    index on demand; a caller that already holds X(m) passes it as `x_row`.
     """
 
     def __init__(self, candidate: InnerCandidate, n: int, rate: float, seed: int):
@@ -135,7 +140,7 @@ class Codebook:
         self.rate = rate
         self.seed = seed
         self.m_count = message_count(n, rate)
-        self.x_words: Optional[np.ndarray] = None
+        self.x_planes: Optional[np.ndarray] = None
         self._x_thr = thresholds(candidate.p_x.pmf)[None, :]
         self._w_thr = thresholds(candidate.p_w_given_x)
         self._key_x = derive_key(seed, _TAG_X)
@@ -144,37 +149,46 @@ class Codebook:
 
     def x_rows(self, lo: int, hi: int) -> np.ndarray:
         """Channel codewords for indices lo..hi-1, shape (hi-lo, n)."""
-        if self.x_words is not None and lo == 0 and hi == self.m_count:
-            return self.x_words
         keys = derive_keys(self._key_x, np.arange(lo, hi, dtype=np.int64))
         return kernels.word_symbols(keys, self._zero_rows, self._x_thr)
 
     def x_word(self, m: int) -> np.ndarray:
-        if self.x_words is not None:
-            return self.x_words[m]
-        return self.x_rows(m, m + 1)[0]
+        if self.x_planes is None:
+            return self.x_rows(m, m + 1)[0]
+        return kernels.plane_symbols(self.x_planes[m], self.n)
 
-    def w_rows_at(self, m: int, idx: np.ndarray) -> np.ndarray:
-        """Auxiliary codewords W^n(m, m_hat) for m_hat in idx, shape (len(idx), n)."""
+    def w_rows_at(self, m: int, idx: np.ndarray,
+                  x_row: Optional[np.ndarray] = None) -> np.ndarray:
+        """Auxiliary codewords W^n(m, m_hat) for m_hat in idx, shape (len(idx), n);
+        x_row is X(m), read from the table when None."""
         row_key = derive_key(self._key_w, _TAG_ROW, m)
         keys = derive_keys(row_key, np.asarray(idx, dtype=np.int64))
-        return kernels.word_symbols(keys, self.x_word(m), self._w_thr)
+        x_row = self.x_word(m) if x_row is None else x_row
+        return kernels.word_symbols(keys, x_row, self._w_thr)
 
-    def w_rows(self, m: int, lo: int, hi: int) -> np.ndarray:
+    def w_rows(self, m: int, lo: int, hi: int,
+               x_row: Optional[np.ndarray] = None) -> np.ndarray:
         """Auxiliary codewords W^n(m, m_hat) for m_hat in lo..hi-1."""
-        return self.w_rows_at(m, np.arange(lo, hi, dtype=np.int64))
+        return self.w_rows_at(m, np.arange(lo, hi, dtype=np.int64), x_row)
 
-    def w_word(self, m: int, m_hat: int) -> np.ndarray:
-        return self.w_rows(m, m_hat, m_hat + 1)[0]
+    def w_word(self, m: int, m_hat: int, x_row: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.w_rows(m, m_hat, m_hat + 1, x_row)[0]
 
     def materialize_x(self) -> None:
-        if self.x_words is not None:
+        if self.x_planes is not None:
             return
-        if self.m_count * self.n > MEMORY_GUARD_CELLS:
-            raise MemoryGuard(
-                f"x table needs {self.m_count * self.n} cells "
-                f"(guard {MEMORY_GUARD_CELLS})")
-        self.x_words = self.x_rows(0, self.m_count)
+        nx = self.candidate.p_x.size
+        shape = kernels.plane_shape(self.n, nx)
+        need = self.m_count * (8 * math.prod(shape) + _DECODE_INDEX_BYTES)
+        if need > MEMORY_GUARD_BYTES:
+            raise MemoryGuard(f"x planes and decode vectors need ~2^{math.log2(need):.1f} "
+                              f"bytes (guard {MEMORY_GUARD_BYTES})")
+        planes = np.empty((self.m_count,) + shape, dtype=np.uint64)
+        step = max(1, _X_CHUNK_CELLS // self.n)
+        for lo in range(0, self.m_count, step):
+            hi = min(lo + step, self.m_count)
+            planes[lo:hi] = kernels.bit_planes(self.x_rows(lo, hi), nx)
+        self.x_planes = planes
 
 
 def _cover_gaps(candidate: InnerCandidate, u_prev: np.ndarray, x_prev: np.ndarray,
@@ -210,7 +224,7 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     lo, chunk = 0, _COVER_CHUNK_FIRST
     while lo < limit:
         hi = min(lo + chunk, limit)
-        gaps = _cover_gaps(cb.candidate, u_prev, x_prev, cb.w_rows(m_prev, lo, hi), n)
+        gaps = _cover_gaps(cb.candidate, u_prev, x_prev, cb.w_rows(m_prev, lo, hi, x_prev), n)
         hits = np.nonzero(gaps <= eps)[0]
         if hits.size:
             return lo + int(hits[0])
@@ -234,21 +248,32 @@ def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
                  m_prev: int, boundary_prev: int, boundary_cur: int, eps: float):
     """(gaps1, gaps2) of every index under the two decoder conditions;
     condition 2 is counted only where condition 1 passes (gaps2 = inf
-    elsewhere), so the decision (gaps1 <= eps) & (gaps2 <= eps) is unchanged."""
+    elsewhere), so the decision (gaps1 <= eps) & (gaps2 <= eps) is unchanged.
+    Both are counted in passes of about _DECODE_PASS_BYTES of temporaries,
+    so only the per-index vectors grow with the codebook."""
     candidate = cb.candidate
     nu, nx, nw, ny, nv = candidate.sizes
     n = cb.n
-    # condition 1: (y_cur, X(m)) against pi x P_X x W, all candidates
-    counts1 = kernels.triplet_counts(cb.x_rows(0, cb.m_count), y_cur, boundary_cur, nx, ny)
-    gaps1 = kernels.l1_gaps(counts1, n, candidate.decode_target1)
+    # condition 1: (y_cur, X(m)) against pi x P_X x W, all candidates, by popcount;
+    # a pass holds an int64 count table and two float64 gap temporaries per index
+    gaps1 = np.empty(cb.m_count)
+    step = max(1, _DECODE_PASS_BYTES // (24 * ny * nx * ny))
+    for lo in range(0, cb.m_count, step):
+        counts1 = kernels.plane_triplet_counts(cb.x_planes[lo:lo + step], y_cur,
+                                               boundary_cur, nx, ny)
+        gaps1[lo:lo + step] = kernels.l1_gaps(counts1, n, candidate.decode_target1)
     # condition 2: (y_prev, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W,
-    # a triplet count whose input symbol is the pair x * nw + w
+    # a triplet count whose input symbol is the pair x * nw + w; a pass holds
+    # about eight int64 words per symbol of each survivor's W row
     idx = np.flatnonzero(gaps1 <= eps)
     gaps2 = np.full(cb.m_count, np.inf)
-    if idx.size:
-        xw = cb.x_word(m_prev) * nw + cb.w_rows_at(m_prev, idx)
+    step = max(1, _DECODE_PASS_BYTES // (64 * n))
+    x_prev = cb.x_word(m_prev)
+    for lo in range(0, idx.size, step):
+        part = idx[lo:lo + step]
+        xw = x_prev * nw + cb.w_rows_at(m_prev, part, x_prev)
         counts2 = kernels.triplet_counts(xw, y_prev, boundary_prev, nx * nw, ny)
-        gaps2[idx] = kernels.l1_gaps(counts2, n, candidate.decode_target2)
+        gaps2[part] = kernels.l1_gaps(counts2, n, candidate.decode_target2)
     return gaps1, gaps2
 
 
@@ -399,7 +424,7 @@ def run_scheme(cfg: SchemeConfig,
     v_blocks: List[np.ndarray] = []
     for b in range(B - 1):
         x_hat = cb.x_word(int(decoded_m[b]))
-        w_hat = cb.w_word(int(decoded_m[b]), int(decoded_m[b + 1]))
+        w_hat = cb.w_word(int(decoded_m[b]), int(decoded_m[b + 1]), x_hat)
         rows = (y_blocks[b] * nx + x_hat) * nw + w_hat
         v_blocks.append(draw(uniforms(derive_key(cfg.seed, _TAG_V, b), n), v_thr[rows]))
     v_blocks.append(np.zeros(n, dtype=np.int64))

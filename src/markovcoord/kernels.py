@@ -10,6 +10,13 @@ cell order (y' * nx + x) * ny + y are `triplet_counts` (y' from
 `prev_states`), and every count-vs-target gap is `l1_gaps`, so the cell
 order and gap expression that fix the gap floats live here alone.
 
+A codeword table is stored as `bit_planes`: one uint64 plane per symbol
+after the first, 64 positions a word.  `plane_triplet_counts` gives the
+same int64 tables as `triplet_counts` on the unpacked rows, each cell
+(y', x >= 1, y) a popcount (`np.bitwise_count`, numpy >= 2.0) of plane x
+AND the (y', y) class mask, so the gaps are bit-equal; `plane_symbols`
+unpacks single rows.
+
 Channel sampling is a prefix composition.  With the 53-bit word s_t
 drawn, step t of the channel is a fixed map g_t on the state alphabet,
 g_t(y) = draw(s_t, thresholds[x_t, y]), and y_t = (g_t o ... o g_1)(y_0).
@@ -29,6 +36,7 @@ from .rng import draw, uniform_grid
 
 PATH_SEGMENT_SYMBOLS = 1 << 14  # channel steps composed per pass; bounds the map tables
 AEP_PASS_CELLS = 1 << 20  # count-table cells per enumeration pass; bounds its tables
+PLANE_PASS_BYTES = 1 << 22  # plane AND temporaries per counting pass
 
 
 def markov_path(x_seq: np.ndarray, y0: int, thr_rows: np.ndarray,
@@ -97,6 +105,51 @@ def triplet_counts(x: np.ndarray, y: np.ndarray, y0, nx: int, ny: int) -> np.nda
     each other: cell (y_{t-1} * nx + x_t) * ny + y_t, y0 (scalar or one per
     row of y) as y_0.  The y part is summed on y's own shape first."""
     return row_counts(prev_states(y, y0) * (nx * ny) + y + x * ny, ny * nx * ny)
+
+
+def plane_shape(n: int, nsym: int) -> tuple[int, int]:
+    """(planes, uint64 words) of one length-n word in `bit_planes` form."""
+    return nsym - 1, -(-n // 64)
+
+
+def bit_planes(sym: np.ndarray, nsym: int) -> np.ndarray:
+    """uint64 bit planes (..., *plane_shape(n, nsym)) of an int array with
+    symbols in [0, nsym): plane k - 1 has bit t set where sym[..., t] == k,
+    packed little-endian bit order, tail bits zero."""
+    sym = np.asarray(sym, dtype=np.int64)
+    n = sym.shape[-1]
+    nplanes, words = plane_shape(n, nsym)
+    bits = np.zeros(sym.shape[:-1] + (nplanes, words * 64), dtype=bool)
+    bits[..., :n] = sym[..., None, :] == np.arange(1, nsym).reshape(-1, 1)
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
+def plane_symbols(planes: np.ndarray, n: int) -> np.ndarray:
+    """The int symbols (..., n) whose `bit_planes` are planes (..., nsym - 1, words)."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=n, bitorder="little")
+    return np.arange(1, planes.shape[-2] + 1) @ bits
+
+
+def plane_triplet_counts(planes: np.ndarray, y: np.ndarray, y0, nx: int, ny: int) -> np.ndarray:
+    """triplet_counts(x, y, y0, nx, ny) of the rows x whose `bit_planes(x, nx)`
+    are `planes` (..., nx - 1, words), against one output row y and scalar y0.
+
+    Cell (y', x >= 1, y) of a row is the popcount of plane x AND the (y', y)
+    class mask; the x = 0 cell is the class size minus the others.  Rows are
+    counted PLANE_PASS_BYTES of AND temporaries at a time."""
+    cls = prev_states(y, y0) * ny + y
+    masks = bit_planes(cls + 1, ny * ny + 1).reshape(ny, 1, ny, -1)  # (y', 1, y, words)
+    sizes = row_counts(cls, ny * ny).reshape(ny, ny)
+    lead, (nplanes, words) = planes.shape[:-2], planes.shape[-2:]
+    rows = math.prod(lead)
+    flat = planes.reshape(rows, 1, nplanes, 1, words)
+    per_pass = max(1, PLANE_PASS_BYTES // max(1, 8 * nplanes * ny * ny * words))
+    counts = np.empty((rows, ny, nx, ny), dtype=np.int64)
+    for lo in range(0, rows, per_pass):
+        anded = flat[lo:lo + per_pass] & masks
+        counts[lo:lo + per_pass, :, 1:] = np.bitwise_count(anded).sum(axis=-1, dtype=np.int64)
+    counts[:, :, 0] = sizes - counts[:, :, 1:].sum(axis=2)
+    return counts.reshape(lead + (ny * nx * ny,))
 
 
 def l1_gaps(counts: np.ndarray, n: int, target: np.ndarray) -> np.ndarray:

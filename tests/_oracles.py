@@ -247,7 +247,7 @@ def packing_decode_full_table(cb, y_prev, y_cur, m_prev, boundaries, eps):
     _, nx, nw, ny, _ = cand.sizes
     n, m_count = cb.n, cb.m_count
     rows = np.arange(m_count)[:, None]
-    x_all = cb.x_rows(0, m_count)
+    x_all = np.stack([cb.x_word(m) for m in range(m_count)])  # sees edited planes
     yp_cur = np.concatenate([[boundaries[1]], y_cur[:-1]])
     c1 = np.zeros((m_count, ny, nx, ny), dtype=np.int64)
     np.add.at(c1, (rows, yp_cur[None, :], x_all, y_cur[None, :]), 1)

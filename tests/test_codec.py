@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _oracles import packing_decode_full_table
-from conftest import BLESSED, make_flip_candidate
+from conftest import (BLESSED, make_flip_candidate, random_channel_instance, random_dist,
+                      random_kernel)
 
 from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
 from markovcoord.rng import derive_key
-from markovcoord import codec
+from markovcoord import codec, kernels
 from markovcoord.codec import (
     _TAG_CHAN,
     _cover_gaps,
@@ -62,20 +65,24 @@ def test_codebook_determinism_and_lazy_equivalence(cand):
     cb1.materialize_x()
     cb2 = Codebook(cand, 40, 0.1, seed=13)
     cb2.materialize_x()
-    assert np.array_equal(cb1.x_words, cb2.x_words)
+    assert np.array_equal(cb1.x_planes, cb2.x_planes)
+    x_all = cb1.x_rows(0, cb1.m_count)
+    assert np.array_equal(cb1.x_planes, kernels.bit_planes(x_all, 2))
 
     lazy = Codebook(cand, 40, 0.1, seed=13)  # 16 codewords
     last = cb1.m_count - 1
-    assert np.array_equal(lazy.x_rows(2, 7), cb1.x_words[2:7])
+    assert np.array_equal(lazy.x_rows(2, 7), x_all[2:7])
     rng = np.random.default_rng(0)
     for m in (0, 1, last):
-        assert np.array_equal(lazy.x_word(m), cb1.x_words[m])
+        assert np.array_equal(lazy.x_word(m), x_all[m])
+        assert np.array_equal(cb1.x_word(m), x_all[m])
         full = cb2.w_rows(m, 0, cb1.m_count)
         for size in (0, 1, 7, cb1.m_count):  # shuffled index subsets
             idx = rng.permutation(cb1.m_count)[:size]
             sub = lazy.w_rows_at(m, idx)
             assert sub.shape == (size, 40)
             assert np.array_equal(sub, full[idx])
+            assert np.array_equal(cb1.w_rows_at(m, idx, x_all[m]), sub)  # X(m) passed in
         for mh in (0, last // 2):
             assert np.array_equal(lazy.w_word(m, mh), full[mh])
         assert np.array_equal(lazy.w_rows(m, 2, 7), full[2:7])
@@ -85,14 +92,18 @@ def test_codebook_zero_rate_single_word(cand):
     cb = Codebook(cand, 20, 0.0, seed=0)
     cb.materialize_x()
     assert cb.m_count == 1
-    assert cb.x_words.shape == (1, 20)
+    assert cb.x_planes.shape == (1, 1, 1)
+    assert cb.x_word(0).shape == (20,)
     assert cb.w_rows(0, 0, 1).shape == (1, 20)
 
 
 def test_codebook_memory_guard(cand):
-    cb = Codebook(cand, 300, 0.1, seed=0)  # m_count ~ 2^30
-    with pytest.raises(MemoryGuard):
-        cb.materialize_x()
+    # 2^30 codewords at n=300, and 2^25 at n=100: 0.5 GB of planes but
+    # 1.9 GB with the per-index decode vectors
+    for n, rate in ((300, 0.1), (100, 0.25)):
+        cb = Codebook(cand, n, rate, seed=0)
+        with pytest.raises(MemoryGuard, match="decode vectors"):
+            cb.materialize_x()
 
 
 def test_codeword_frequencies_follow_generation_law():
@@ -224,9 +235,9 @@ def test_encode_block_chunks_tile_the_scan(cand):
     spans = []
     w_rows = cb.w_rows
 
-    def recorded(m, lo, hi):
+    def recorded(m, lo, hi, x_row=None):
         spans.append((lo, hi))
-        return w_rows(m, lo, hi)
+        return w_rows(m, lo, hi, x_row)
 
     cb.w_rows = recorded
     u = np.zeros(60, dtype=np.int64)
@@ -282,13 +293,85 @@ def test_packing_decode_matches_full_table_oracle(cand):
     assert statuses == set(DecodeStatus)
 
 
+@pytest.fixture(scope="module")
+def cand3():
+    # 3-symbol X and Y: two X planes per codeword and nine output classes
+    rng = np.random.default_rng(3)
+    p_x, chan = random_channel_instance(rng, 3, 3)
+    return InnerCandidate(random_dist(rng, 2), p_x, random_kernel(rng, (2, 3), 2),
+                          chan, random_kernel(rng, (3, 3, 2), 2))
+
+
+def test_packing_decode_three_symbol_x_matches_full_table_oracle(cand3):
+    statuses = set()
+    for rate in (0.02, 0.05):
+        for seed in range(4):
+            for eps in (0.3, 0.5, 0.8):
+                cb = Codebook(cand3, 100, rate, seed=seed)
+                cb.materialize_x()
+                assert cb.x_planes.shape == (cb.m_count, 2, 2)
+                m_prev = seed % cb.m_count
+                y_prev, y_cur = _two_blocks(cb, m_prev, (3 * seed + 1) % cb.m_count, 0, seed)
+                res = _assert_decode_matches_full_table(cb, y_prev, y_cur, m_prev, 0, eps)
+                statuses.add(res.status)
+    assert statuses == set(DecodeStatus)
+
+
+def test_decode_block_memory_stays_bounded(cand):
+    # sim-codebook's shape: condition 1 counts the 1 MB plane table in bounded
+    # passes, where one int64 count pass over the symbol table peaked at 127.5 MB
+    cb = Codebook(cand, 800, BLESSED["rate_mid"], seed=1)
+    assert cb.m_count == 9947
+    cb.materialize_x()
+    y_prev, y_cur = _two_blocks(cb, 0, 1, 0, 1)
+    tracemalloc.start()
+    try:
+        decode_block(y_prev, y_cur, 0, cb, BLESSED["eps_decode"], (0, int(y_prev[-1])))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_decode_memory_stays_within_the_guard(cand, monkeypatch):
+    # the guard counts the plane table and the per-index decode vectors, and
+    # every other temporary lives in a bounded pass, even when every index
+    # survives condition 1 (no l1 gap exceeds 2) and condition 2 counts them all
+    monkeypatch.setattr(codec, "MEMORY_GUARD_BYTES", 2 * 10 ** 6)
+    monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", 1 << 17)
+    monkeypatch.setattr(codec, "_X_CHUNK_CELLS", 1 << 14)
+    monkeypatch.setattr(kernels, "PLANE_PASS_BYTES", 1 << 15)
+    with pytest.raises(MemoryGuard):
+        Codebook(cand, 100, 0.16, seed=0).materialize_x()  # 2^16 codewords
+    cb = Codebook(cand, 100, 0.15, seed=0)  # 2^15 codewords, 1.8 MB
+    y_prev, y_cur = _two_blocks(Codebook(cand, 100, 0.15, seed=0), 0, 1, 0, 0)
+    tracemalloc.start()
+    try:
+        cb.materialize_x()
+        res = decode_block(y_prev, y_cur, 0, cb, 2.0, (0, int(y_prev[-1])))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.n_candidates == cb.m_count
+    assert peak < codec.MEMORY_GUARD_BYTES + 2 * codec._DECODE_PASS_BYTES
+    # the passes give the same gaps, bit for bit, as one pass over every index
+    y_prev, y_cur = _two_blocks(cb, 0, 1, 0, 1)
+    args = (cb, y_prev, y_cur, 0, 0, int(y_prev[-1]), 0.5)
+    passes = codec._decode_gaps(*args)
+    assert 0 < (passes[0] <= 0.5).sum() < cb.m_count
+    monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", 1 << 40)
+    monkeypatch.setattr(kernels, "PLANE_PASS_BYTES", 1 << 40)
+    for got, one_pass in zip(passes, codec._decode_gaps(*args)):
+        assert np.array_equal(got, one_pass)
+
+
 def _collide_w(cb):
     # W(0, 1) becomes W(0, 0); every other auxiliary word is unchanged
     orig = cb.w_rows_at
 
-    def collided(m, idx):
+    def collided(m, idx, x_row=None):
         idx = np.asarray(idx, dtype=np.int64)
-        return orig(m, np.where((m == 0) & (idx == 1), 0, idx))
+        return orig(m, np.where((m == 0) & (idx == 1), 0, idx), x_row)
 
     cb.w_rows_at = collided
 
@@ -297,8 +380,9 @@ def test_packing_decode_forced_collision_matches_full_table_oracle(cand):
     for seed in range(3):
         cb = Codebook(cand, 200, 0.04, seed=seed)
         cb.materialize_x()
-        cb.x_words[1] = cb.x_words[0]
+        cb.x_planes[1] = cb.x_planes[0]
         _collide_w(cb)
+        assert np.array_equal(cb.x_word(1), cb.x_word(0))
         assert np.array_equal(cb.w_word(0, 1), cb.w_word(0, 0))
         y_prev, y_cur = _two_blocks(cb, 0, 0, 0, 9 + seed)
         res = _assert_decode_matches_full_table(cb, y_prev, y_cur, 0, 0, 0.4)
@@ -311,8 +395,8 @@ def test_run_scheme_generates_w_rows_only_for_survivors(cand, monkeypatch):
     rows = {"all": 0, "cover": 0, "survivors": 0}
     w_rows_at = Codebook.w_rows_at
 
-    def counted_w_rows_at(self, m, idx):
-        out = w_rows_at(self, m, idx)
+    def counted_w_rows_at(self, m, idx, x_row=None):
+        out = w_rows_at(self, m, idx, x_row)
         rows["all"] += out.shape[0]
         return out
 
@@ -402,7 +486,7 @@ def test_decode_block_forced_collision_is_ambiguous(cand):
     cb = Codebook(cand, 400, 0.02, seed=6)
     cb.materialize_x()
     # duplicate codeword 0 into slot 1: both satisfy both conditions
-    cb.x_words[1] = cb.x_words[0]
+    cb.x_planes[1] = cb.x_planes[0]
     _collide_w(cb)
     y_prev = channel_block(cb.x_word(0), 0, cand.channel, derive_key(9, 0))
     y_cur = channel_block(cb.x_word(0), int(y_prev[-1]), cand.channel,

@@ -176,6 +176,16 @@ def test_run_experiment_error_isolation():
     assert surviving == good_rows
 
 
+@pytest.mark.filterwarnings("ignore:rate")
+def test_memory_guard_error_stays_short_past_the_float_range():
+    # n=300, rate=5.0 wants 2^1500 codewords; the error column names the
+    # guard with the size as a power of two, not as a 455-digit integer
+    raw = _simulate_raw(trials=1)
+    raw["sweep"].update(n=[300], rate=[5.0], num_blocks=[2])
+    (row,) = run_experiment(config_from_dict(raw)).rows
+    assert row["error"].startswith("MemoryGuard") and len(row["error"]) < 200
+
+
 def test_region_kind_runs():
     raw = default_config("region")
     raw["sweep"] = {"w_size": [2]}

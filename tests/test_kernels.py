@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,29 @@ def test_count_tables_match_loop(nx, ny, n, shapes, per_row_y0, seed):
         assert np.array_equal(counts[idx], row_counts_loop(cells[idx], nx * ny))
 
 
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([1, 63, 64, 65, 200]),
+       st.sampled_from([(), (5,), (2, 3)]), st.sampled_from([1, 300, kernels.PLANE_PASS_BYTES]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_plane_counts_match_triplet_counts(nx, ny, n, lead, pass_bytes, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, nx, lead + (n,))
+    y = rng.integers(0, ny, n)
+    planes = kernels.bit_planes(x, nx)
+    words = -(-n // 64)
+    assert planes.dtype == np.uint64 and planes.shape == lead + (nx - 1, words)
+    for idx in np.ndindex(*lead):  # bit t of plane k - 1 is set iff x[t] == k; the tail is 0
+        for k in range(1, nx):
+            packed = sum(int(w) << (64 * i) for i, w in enumerate(planes[idx][k - 1]))
+            assert packed == sum(1 << t for t in range(n) if x[idx][t] == k)
+    assert np.array_equal(kernels.plane_symbols(planes, n), x)
+    with mock.patch.object(kernels, "PLANE_PASS_BYTES", pass_bytes):  # 1 and 300: row passes
+        for y0 in range(ny):
+            got = kernels.plane_triplet_counts(planes, y, y0, nx, ny)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, kernels.triplet_counts(x, y, y0, nx, ny))
+
+
 def _nodes_by_function(tree):
     """(enclosing function name, node) for every node of a module."""
     found = []
@@ -193,15 +217,23 @@ def _is_shift(node):
             and any("1:]" in ast.unparse(t) for t in node.targets))
 
 
+# call -> the one kernels function allowed to make it: the count and bit-plane layers
+_ONE_LAYER_CALLS = {"bincount": "row_counts", "bitwise_count": "plane_triplet_counts",
+                    "packbits": "bit_planes", "unpackbits": "plane_symbols"}
+
+
 def test_count_tables_have_one_layer():
-    # every count table is a kernels.row_counts bincount and every y' shift is
-    # kernels.prev_states; a private copy elsewhere in the package fails here
+    # every count table is a kernels.row_counts bincount or a popcount in
+    # kernels.plane_triplet_counts, every y' shift is kernels.prev_states, and
+    # the bit-plane format is packed and unpacked in kernels alone; a private
+    # copy elsewhere in the package fails here
     stray = []
     for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
         for fn, node in _nodes_by_function(ast.parse(path.read_text())):
             where = (path.name, fn)
-            if _is_call(node, "bincount") and where != ("kernels.py", "row_counts"):
-                stray.append(f"{path.name}:{node.lineno} bincount in {fn}")
+            for call, owner in _ONE_LAYER_CALLS.items():
+                if _is_call(node, call) and where != ("kernels.py", owner):
+                    stray.append(f"{path.name}:{node.lineno} {call} in {fn}")
             if _is_shift(node) and where != ("kernels.py", "prev_states"):
                 stray.append(f"{path.name}:{node.lineno} y' shift in {fn}")
     assert not stray
