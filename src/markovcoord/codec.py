@@ -27,8 +27,8 @@ import numpy as np
 from . import kernels
 from .probability import Kernel
 from .region import InnerCandidate
-from .rng import derive_key, derive_keys, draw, thresholds, uniforms
-from .typicality import FullType, _check_seq, full_type
+from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
+from .typicality import FullType, check_seq, full_type
 
 MEMORY_GUARD_BYTES = 8 * 10 ** 8  # X plane table plus the per-index decode vectors
 _DECODE_INDEX_BYTES = 40  # gaps1, gaps2, survivor and hit indices and masks, per index
@@ -130,8 +130,8 @@ class Codebook:
     generates the same rows as a full table.  `x_planes` holds the channel
     codeword table as `kernels.bit_planes`, (m_count, *kernels.plane_shape(n, nx))
     uint64, once `materialize_x` has built it within MEMORY_GUARD_BYTES;
-    `x_word` unpacks one row of it.  Auxiliary words are generated per
-    index on demand; a caller that already holds X(m) passes it as `x_row`.
+    `x_word` unpacks one row of it.  Auxiliary words come from one
+    generator, `w_rows`, over index arrays, given the X rows the caller holds.
     """
 
     def __init__(self, candidate: InnerCandidate, n: int, rate: float, seed: int):
@@ -144,7 +144,7 @@ class Codebook:
         self._x_thr = thresholds(candidate.p_x.pmf)[None, :]
         self._w_thr = thresholds(candidate.p_w_given_x)
         self._key_x = derive_key(seed, _TAG_X)
-        self._key_w = derive_key(seed, _TAG_W)
+        self._key_w = derive_key(seed, _TAG_W, _TAG_ROW)
         self._zero_rows = np.zeros(n, dtype=np.int64)
 
     def x_rows(self, lo: int, hi: int) -> np.ndarray:
@@ -157,22 +157,11 @@ class Codebook:
             return self.x_rows(m, m + 1)[0]
         return kernels.plane_symbols(self.x_planes[m], self.n)
 
-    def w_rows_at(self, m: int, idx: np.ndarray,
-                  x_row: Optional[np.ndarray] = None) -> np.ndarray:
-        """Auxiliary codewords W^n(m, m_hat) for m_hat in idx, shape (len(idx), n);
-        x_row is X(m), read from the table when None."""
-        row_key = derive_key(self._key_w, _TAG_ROW, m)
-        keys = derive_keys(row_key, np.asarray(idx, dtype=np.int64))
-        x_row = self.x_word(m) if x_row is None else x_row
+    def w_rows(self, m, m_hat, x_row: np.ndarray) -> np.ndarray:
+        """Auxiliary codewords W^n(m, m_hat), one row per pair of the index
+        arrays m and m_hat broadcast; x_row is X(m), one row or one per pair."""
+        keys = derive_keys(derive_keys(self._key_w, m), m_hat)
         return kernels.word_symbols(keys, x_row, self._w_thr)
-
-    def w_rows(self, m: int, lo: int, hi: int,
-               x_row: Optional[np.ndarray] = None) -> np.ndarray:
-        """Auxiliary codewords W^n(m, m_hat) for m_hat in lo..hi-1."""
-        return self.w_rows_at(m, np.arange(lo, hi, dtype=np.int64), x_row)
-
-    def w_word(self, m: int, m_hat: int, x_row: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.w_rows(m, m_hat, m_hat + 1, x_row)[0]
 
     def materialize_x(self) -> None:
         if self.x_planes is not None:
@@ -217,14 +206,13 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
         raise ValueError("m_prev outside [0, m_count)")
     n = cb.n
     x_prev = cb.x_word(m_prev)
-    u_prev = _check_seq(u_prev, cb.candidate.p_u.size, "u_prev")
-    if u_prev.size != n:
-        raise ValueError("source block length does not match n")
+    u_prev = check_seq(u_prev, cb.candidate.p_u.size, "u_prev", n)
     limit = min(cb.m_count, scan_limit)
     lo, chunk = 0, _COVER_CHUNK_FIRST
     while lo < limit:
         hi = min(lo + chunk, limit)
-        gaps = _cover_gaps(cb.candidate, u_prev, x_prev, cb.w_rows(m_prev, lo, hi, x_prev), n)
+        w_chunk = cb.w_rows(m_prev, np.arange(lo, hi), x_prev)
+        gaps = _cover_gaps(cb.candidate, u_prev, x_prev, w_chunk, n)
         hits = np.nonzero(gaps <= eps)[0]
         if hits.size:
             return lo + int(hits[0])
@@ -271,7 +259,7 @@ def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
     x_prev = cb.x_word(m_prev)
     for lo in range(0, idx.size, step):
         part = idx[lo:lo + step]
-        xw = x_prev * nw + cb.w_rows_at(m_prev, part, x_prev)
+        xw = x_prev * nw + cb.w_rows(m_prev, part, x_prev)
         counts2 = kernels.triplet_counts(xw, y_prev, boundary_prev, nx * nw, ny)
         gaps2[part] = kernels.l1_gaps(counts2, n, candidate.decode_target2)
     return gaps1, gaps2
@@ -291,12 +279,9 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     if not 0 <= m_tilde_prev < cb.m_count:
         raise ValueError("m_tilde_prev outside [0, m_count)")
     ny = cb.candidate.channel.output_size
-    y_prev_block = _check_seq(y_prev_block, ny, "y_prev_block")
-    y_block = _check_seq(y_block, ny, "y_block")
-    for name, block in (("y_prev_block", y_prev_block), ("y_block", y_block)):
-        if block.size != cb.n:
-            raise ValueError(f"{name} length {block.size} does not match n={cb.n}")
-    boundary_prev, boundary_cur = _check_seq(y_boundary_states, ny, "y_boundary_states")
+    y_prev_block = check_seq(y_prev_block, ny, "y_prev_block", cb.n)
+    y_block = check_seq(y_block, ny, "y_block", cb.n)
+    boundary_prev, boundary_cur = check_seq(y_boundary_states, ny, "y_boundary_states")
     cb.materialize_x()
     gaps1, gaps2 = _decode_gaps(cb, y_prev_block, y_block, m_tilde_prev,
                                 boundary_prev, boundary_cur, eps)
@@ -317,9 +302,10 @@ class RunResult:
     block, whose source is not described), `event_b[b]` channel
     atypicality of the transmitted pair, `event_c[b]` a wrong, missing,
     or ambiguous index decision (block 0 is pinned to index 0).  The
-    empirical 5-tuple types cover the coordinated blocks 0..B-2 and all B
-    blocks respectively; their count tables satisfy
-    all = coordinated + last exactly.
+    empirical 5-tuple types are each counted once over the concatenated
+    blocks (the coordinated blocks 0..B-2, the last block, and all B
+    blocks), with the channel state threading across block boundaries, so
+    all = coordinated + last is a check of three separate counts.
     """
 
     n: int
@@ -368,77 +354,65 @@ def run_scheme(cfg: SchemeConfig,
     cand = cfg.candidate
     nu, nx, nw, ny, nv = cand.sizes
     n, B = cfg.n, cfg.num_blocks
+    blocks = np.arange(B)
     if source_blocks is None:
-        u_thr = thresholds(cand.p_u.pmf)
-        u_blocks = [draw(uniforms(derive_key(cfg.seed, _TAG_U, b), n), u_thr)
-                    for b in range(B)]
+        u = draw(uniform_grid(derive_keys(derive_key(cfg.seed, _TAG_U), blocks), n),
+                 thresholds(cand.p_u.pmf))
     else:
         if len(source_blocks) != B:
             raise ValueError("source_blocks must supply one block per block")
-        u_blocks = [_check_seq(u, nu, f"source_blocks[{b}]")
-                    for b, u in enumerate(source_blocks)]
-        for b, u in enumerate(u_blocks):
-            if u.size != n:
-                raise ValueError(f"source_blocks[{b}] length {u.size} does not match n={n}")
+        u = np.stack([check_seq(u_b, nu, f"source_blocks[{b}]", n)
+                      for b, u_b in enumerate(source_blocks)])
 
     cb = Codebook(cand, n, cfg.rate, cfg.seed)
     cb.materialize_x()
 
     true_m = np.zeros(B, dtype=np.int64)
     event_a = np.zeros(B, dtype=bool)
-    x_blocks: List[np.ndarray] = []
-    y_blocks: List[np.ndarray] = []
-    boundaries = np.empty(B, dtype=np.int64)
+    x = np.empty((B, n), dtype=np.int64)
+    y = np.empty((B, n), dtype=np.int64)
     y_state = cfg.y0
     for b in range(B):
         if b > 0:
-            m = encode_block(u_blocks[b - 1], int(true_m[b - 1]), cb,
+            m = encode_block(u[b - 1], int(true_m[b - 1]), cb,
                              cfg.effective_cover_eps, cfg.scan_limit)
             if m is None:
                 event_a[b - 1] = True
                 m = 0
             true_m[b] = m
-        x_blocks.append(cb.x_word(int(true_m[b])))
-        boundaries[b] = y_state
-        y_blocks.append(channel_block(x_blocks[b], int(y_state),
-                                      cand.channel,
-                                      derive_key(cfg.seed, _TAG_CHAN, b)))
-        y_state = int(y_blocks[b][-1])
+        x[b] = cb.x_word(int(true_m[b]))
+        y[b] = channel_block(x[b], y_state, cand.channel,
+                             derive_key(cfg.seed, _TAG_CHAN, b))
+        y_state = int(y[b, -1])
+    boundaries = kernels.prev_states(y[:, -1], cfg.y0)  # y' at t=1 of each block
 
-    counts = kernels.triplet_counts(np.stack(x_blocks), np.stack(y_blocks), boundaries, nx, ny)
+    counts = kernels.triplet_counts(x, y, boundaries, nx, ny)
     event_b = kernels.l1_gaps(counts, n, cand.decode_target1) > cfg.eps
 
     decoded_m = np.zeros(B, dtype=np.int64)
     status: List[str] = [DecodeStatus.OK.value]
     event_c = np.zeros(B, dtype=bool)
     for b in range(1, B):
-        res = decode_block(y_blocks[b - 1], y_blocks[b], int(decoded_m[b - 1]),
-                           cb, cfg.eps,
+        res = decode_block(y[b - 1], y[b], int(decoded_m[b - 1]), cb, cfg.eps,
                            (int(boundaries[b - 1]), int(boundaries[b])))
         decoded_m[b] = res.index if res.status is DecodeStatus.OK else 0
         status.append(res.status.value)
         event_c[b] = (res.status is not DecodeStatus.OK
                       or int(decoded_m[b]) != int(true_m[b]))
 
-    v_thr = cand.p_v_given_yxw.thresholds
-    v_blocks: List[np.ndarray] = []
-    for b in range(B - 1):
-        x_hat = cb.x_word(int(decoded_m[b]))
-        w_hat = cb.w_word(int(decoded_m[b]), int(decoded_m[b + 1]), x_hat)
-        rows = (y_blocks[b] * nx + x_hat) * nw + w_hat
-        v_blocks.append(draw(uniforms(derive_key(cfg.seed, _TAG_V, b), n), v_thr[rows]))
-    v_blocks.append(np.zeros(n, dtype=np.int64))
+    # decoder outputs from (X(m_hat_b), W(m_hat_b, m_hat_{b+1})); the last block's is zero
+    x_hat = kernels.plane_symbols(cb.x_planes[decoded_m[:-1]], n)
+    w_hat = cb.w_rows(decoded_m[:-1], decoded_m[1:], x_hat)
+    v = np.zeros((B, n), dtype=np.int64)
+    v_thr = cand.p_v_given_yxw.thresholds[(y[:-1] * nx + x_hat) * nw + w_hat]
+    v[:-1] = draw(uniform_grid(derive_keys(derive_key(cfg.seed, _TAG_V), blocks[:-1]), n),
+                  v_thr)
 
     sizes = (nu, nx, ny, nv)
-    coord_counts = np.zeros((nu, nx, ny, ny, nv), dtype=np.int64)
-    for b in range(B - 1):
-        t = full_type(u_blocks[b], x_blocks[b], y_blocks[b], v_blocks[b],
-                      int(boundaries[b]), sizes)
-        coord_counts += t.counts
-    type_coord = FullType(coord_counts, (B - 1) * n)
-    type_last = full_type(u_blocks[B - 1], x_blocks[B - 1], y_blocks[B - 1],
-                          v_blocks[B - 1], int(boundaries[B - 1]), sizes)
-    type_all = FullType(coord_counts + type_last.counts, B * n)
+    type_coord = full_type(u[:-1].ravel(), x[:-1].ravel(), y[:-1].ravel(), v[:-1].ravel(),
+                           cfg.y0, sizes)
+    type_last = full_type(u[-1], x[-1], y[-1], v[-1], int(boundaries[-1]), sizes)
+    type_all = full_type(u.ravel(), x.ravel(), y.ravel(), v.ravel(), cfg.y0, sizes)
 
     target = cand.target.pmf
     tv_coord = float(np.abs(type_coord.normalized - target).sum())

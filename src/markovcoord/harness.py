@@ -426,13 +426,6 @@ _RUNNERS = {
 }
 
 
-def packing_probe(cfg: ExperimentConfig) -> RecordSet:
-    """Monte-Carlo frequency of the joint packing event over fresh codebooks."""
-    if cfg.kind != "packing-probe":
-        raise ValueError("config kind must be packing-probe")
-    return run_experiment(cfg)
-
-
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------

@@ -74,10 +74,11 @@ def markov_path(x_seq: np.ndarray, y0: int, thr_rows: np.ndarray,
 
 def word_symbols(keys: np.ndarray, row_idx: np.ndarray, thr_rows: np.ndarray) -> np.ndarray:
     """(len(keys), n) symbol table, one word per key; word m, position t
-    draws from thr_rows[row_idx[t]] with the keyed stream of keys[m]."""
+    draws from thr_rows[row_idx[..., t]] with the keyed stream of keys[m],
+    where row_idx is one length-n row for every key or one row per key."""
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
-    return draw(uniform_grid(keys, row_idx.size), thr_rows[row_idx])
+    return draw(uniform_grid(keys, row_idx.shape[-1]), thr_rows[row_idx])
 
 
 def prev_states(y: np.ndarray, y0) -> np.ndarray:

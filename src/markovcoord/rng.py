@@ -3,9 +3,9 @@
 Every random draw in this package is a pure function of a 64-bit key and
 a counter, so any substream can be regenerated independently (codewords,
 channel noise, source blocks) without storing generator state.  Keys
-fold in Python ints (`derive_key`) or in uint64 arrays (`derive_keys`,
-`fold_keys`); the array forms wrap modulo 2^64 exactly like the masked
-int arithmetic, and `tests/test_kernels` pins them to a pure-int oracle.
+fold in Python ints (`derive_key`) or in broadcast uint64 arrays
+(`derive_keys`); the array form wraps modulo 2^64 exactly like the masked
+int arithmetic, and `tests/test_kernels` pins it to a pure-int oracle.
 
 Draws are the 53-bit words s = z >> 11 of splitmix64 outputs z, and
 `draw(s, thresholds(pmf))` is inversion (Devroye 1986, sec. 2.2) in
@@ -49,15 +49,12 @@ def derive_key(key: int, *words: int) -> int:
     return h
 
 
-def derive_keys(key: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized derive_key(key, i) for an int64/uint64 index array."""
-    w = _finalize_u64(indices.astype(np.uint64))
-    return _finalize_u64((np.uint64((key + PHI64) & MASK64)) ^ w)
-
-
-def fold_keys(keys: np.ndarray, word: int) -> np.ndarray:
-    """Vectorized derive_key(k, word) for every k in a uint64 key array."""
-    return _finalize_u64((keys + _U_PHI) ^ np.uint64(_finalize_int(word)))
+def derive_keys(keys, words) -> np.ndarray:
+    """derive_key(k, w) for keys k and int words w broadcast against each
+    other, as a uint64 array of at least one dimension."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    words = np.atleast_1d(np.asarray(words).astype(np.uint64))
+    return _finalize_u64((keys + _U_PHI) ^ _finalize_u64(words))
 
 
 def _finalize_u64(z: np.ndarray) -> np.ndarray:

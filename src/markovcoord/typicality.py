@@ -23,7 +23,7 @@ from .probability import (
     induced_transition,
     stationary_dist,
 )
-from .rng import derive_key, derive_keys, draw, fold_keys, thresholds, uniform_grid
+from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
 
 MAX_EXACT_PAIRS = 10 ** 7      # default enumeration guard for audits
 AUDIT_CHUNK_SYMBOLS = 1 << 14  # sampled-audit trials x n per batched pass; bounds memory
@@ -34,19 +34,23 @@ class EnumerationTooLarge(RuntimeError):
     """Exact enumeration was requested past the sequence-pair guard."""
 
 
-def _check_seq(seq: np.ndarray, size: int, name: str) -> np.ndarray:
+def check_seq(seq: np.ndarray, size: int, name: str, n: Optional[int] = None) -> np.ndarray:
+    """seq as a one-dimensional int64 array of symbols in [0, size), of
+    length n when n is given; a ValueError names `name` otherwise."""
     seq = np.asarray(seq, dtype=np.int64)
     if seq.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if seq.size and (seq.min() < 0 or seq.max() >= size):
         raise ValueError(f"{name} has symbols outside [0, {size})")
+    if n is not None and seq.size != n:
+        raise ValueError(f"{name} length {seq.size} does not match n={n}")
     return seq
 
 
 def _check_pair(x_seq, y_seq, y0: int, x_size: int, y_size: int):
     """(x_seq, y_seq) checked as equal-length symbol sequences, y0 as a state."""
-    x_seq = _check_seq(x_seq, x_size, "x_seq")
-    y_seq = _check_seq(y_seq, y_size, "y_seq")
+    x_seq = check_seq(x_seq, x_size, "x_seq")
+    y_seq = check_seq(y_seq, y_size, "y_seq")
     if x_seq.size != y_seq.size:
         raise ValueError(f"length mismatch: {x_seq.size} vs {y_seq.size}")
     if not 0 <= y0 < y_size:
@@ -119,10 +123,10 @@ def full_type(u_seq, x_seq, y_seq, v_seq, y0: int,
               sizes: Tuple[int, int, int, int]) -> FullType:
     """Count 5-tuples (u_t, x_t, y_{t-1}, y_t, v_t)."""
     nu, nx, ny, nv = sizes
-    u_seq = _check_seq(u_seq, nu, "u_seq")
-    x_seq = _check_seq(x_seq, nx, "x_seq")
-    y_seq = _check_seq(y_seq, ny, "y_seq")
-    v_seq = _check_seq(v_seq, nv, "v_seq")
+    u_seq = check_seq(u_seq, nu, "u_seq")
+    x_seq = check_seq(x_seq, nx, "x_seq")
+    y_seq = check_seq(y_seq, ny, "y_seq")
+    v_seq = check_seq(v_seq, nv, "v_seq")
     n = u_seq.size
     if not (x_seq.size == y_seq.size == v_seq.size == n):
         raise ValueError("all four sequences must have the same length")
@@ -328,8 +332,8 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
             # trial t draws x from derive_key(derive_key(seed, 5001, t), 0)
             # and the channel from the same key folded with 1
             keys = derive_keys(trial_root, np.arange(lo, min(lo + chunk, sample_size)))
-            x = draw(uniform_grid(fold_keys(keys, 0), n), x_thr)
-            y = kernels.markov_path(x, y0, w.thresholds, fold_keys(keys, 1))
+            x = draw(uniform_grid(derive_keys(keys, 0), n), x_thr)
+            y = kernels.markov_path(x, y0, w.thresholds, derive_keys(keys, 1))
             hit = kernels.l1_gaps(kernels.triplet_counts(x, y, y0, nx, ny), n, q_flat) <= eps
             if hit.any():
                 typical += int(hit.sum())

@@ -253,8 +253,8 @@ def packing_decode_full_table(cb, y_prev, y_cur, m_prev, boundaries, eps):
     np.add.at(c1, (rows, yp_cur[None, :], x_all, y_cur[None, :]), 1)
     gaps1 = np.abs(c1.reshape(m_count, -1) / n
                    - cand.decode_target1.ravel()).sum(axis=1)
-    w_all = cb.w_rows(m_prev, 0, m_count)
     x_prev = x_all[m_prev]
+    w_all = cb.w_rows(m_prev, np.arange(m_count), x_prev)
     yp_prev = np.concatenate([[boundaries[0]], y_prev[:-1]])
     c2 = np.zeros((m_count, ny, nx, nw, ny), dtype=np.int64)
     np.add.at(c2, (rows, yp_prev[None, :], x_prev[None, :], w_all, y_prev[None, :]), 1)

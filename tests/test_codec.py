@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,13 @@ from conftest import (BLESSED, make_flip_candidate, random_channel_instance, ran
 
 from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
-from markovcoord.rng import derive_key
+from markovcoord.rng import derive_key, draw, thresholds, uniforms
+from markovcoord.typicality import full_type
 from markovcoord import codec, kernels
 from markovcoord.codec import (
     _TAG_CHAN,
+    _TAG_U,
+    _TAG_V,
     _cover_gaps,
     Codebook,
     DecodeStatus,
@@ -76,16 +80,16 @@ def test_codebook_determinism_and_lazy_equivalence(cand):
     for m in (0, 1, last):
         assert np.array_equal(lazy.x_word(m), x_all[m])
         assert np.array_equal(cb1.x_word(m), x_all[m])
-        full = cb2.w_rows(m, 0, cb1.m_count)
+        full = cb2.w_rows(m, np.arange(cb1.m_count), cb2.x_word(m))
         for size in (0, 1, 7, cb1.m_count):  # shuffled index subsets
             idx = rng.permutation(cb1.m_count)[:size]
-            sub = lazy.w_rows_at(m, idx)
+            sub = lazy.w_rows(m, idx, lazy.x_word(m))
             assert sub.shape == (size, 40)
             assert np.array_equal(sub, full[idx])
-            assert np.array_equal(cb1.w_rows_at(m, idx, x_all[m]), sub)  # X(m) passed in
+            assert np.array_equal(cb1.w_rows(m, idx, x_all[m]), sub)  # X(m) passed in
         for mh in (0, last // 2):
-            assert np.array_equal(lazy.w_word(m, mh), full[mh])
-        assert np.array_equal(lazy.w_rows(m, 2, 7), full[2:7])
+            assert np.array_equal(lazy.w_rows(m, mh, lazy.x_word(m))[0], full[mh])
+        assert np.array_equal(lazy.w_rows(m, np.arange(2, 7), lazy.x_word(m)), full[2:7])
 
 
 def test_codebook_zero_rate_single_word(cand):
@@ -94,7 +98,7 @@ def test_codebook_zero_rate_single_word(cand):
     assert cb.m_count == 1
     assert cb.x_planes.shape == (1, 1, 1)
     assert cb.x_word(0).shape == (20,)
-    assert cb.w_rows(0, 0, 1).shape == (1, 20)
+    assert cb.w_rows(0, np.arange(0, 1), cb.x_word(0)).shape == (1, 20)
 
 
 def test_codebook_memory_guard(cand):
@@ -115,7 +119,7 @@ def test_codeword_frequencies_follow_generation_law():
     freq1 = x.mean()
     assert abs(freq1 - 0.7) < 0.02
     # auxiliary words follow P(w | x) given the x word
-    w = cb.w_rows(0, 0, 1)[0]
+    w = cb.w_rows(0, np.arange(0, 1), x)[0]
     p_w1_given_x = np.einsum("u,uxw->xw", cand.p_u.pmf,
                              cand.p_w_given_ux.table)[:, 1]
     for xv in (0, 1):
@@ -162,6 +166,8 @@ def test_encode_block_rejects_out_of_range_source(cand):
         u[7] = bad
         with pytest.raises(ValueError, match="u_prev has symbols outside"):
             encode_block(u, 0, cb, eps=0.3)
+    with pytest.raises(ValueError, match="u_prev length 59 does not match n=60"):
+        encode_block(np.zeros(59, dtype=np.int64), 0, cb, eps=0.3)
 
 
 @pytest.mark.parametrize("name", ["y_prev_block", "y_block", "y_boundary_states"])
@@ -213,7 +219,7 @@ def test_encode_block_matches_full_table_smallest_hit(cand):
     cb = Codebook(cand, 100, 0.1, seed=4)  # 1024 codewords
     depths = set()
     for m_prev in (0, 5):
-        full = cb.w_rows(m_prev, 0, cb.m_count)
+        full = cb.w_rows(m_prev, np.arange(cb.m_count), cb.x_word(m_prev))
         for s in range(4):
             u = np.random.default_rng(s).integers(0, 2, 100)
             gaps = _cover_gaps(cand, u, cb.x_word(m_prev), full, 100)
@@ -235,9 +241,10 @@ def test_encode_block_chunks_tile_the_scan(cand):
     spans = []
     w_rows = cb.w_rows
 
-    def recorded(m, lo, hi, x_row=None):
-        spans.append((lo, hi))
-        return w_rows(m, lo, hi, x_row)
+    def recorded(m, m_hat, x_row):
+        spans.append((int(m_hat[0]), int(m_hat[-1]) + 1))
+        assert np.array_equal(m_hat, np.arange(*spans[-1]))
+        return w_rows(m, m_hat, x_row)
 
     cb.w_rows = recorded
     u = np.zeros(60, dtype=np.int64)
@@ -367,13 +374,13 @@ def test_decode_memory_stays_within_the_guard(cand, monkeypatch):
 
 def _collide_w(cb):
     # W(0, 1) becomes W(0, 0); every other auxiliary word is unchanged
-    orig = cb.w_rows_at
+    orig = cb.w_rows
 
-    def collided(m, idx, x_row=None):
-        idx = np.asarray(idx, dtype=np.int64)
-        return orig(m, np.where((m == 0) & (idx == 1), 0, idx), x_row)
+    def collided(m, m_hat, x_row):
+        m_hat = np.asarray(m_hat, dtype=np.int64)
+        return orig(m, np.where((np.asarray(m) == 0) & (m_hat == 1), 0, m_hat), x_row)
 
-    cb.w_rows_at = collided
+    cb.w_rows = collided
 
 
 def test_packing_decode_forced_collision_matches_full_table_oracle(cand):
@@ -383,7 +390,7 @@ def test_packing_decode_forced_collision_matches_full_table_oracle(cand):
         cb.x_planes[1] = cb.x_planes[0]
         _collide_w(cb)
         assert np.array_equal(cb.x_word(1), cb.x_word(0))
-        assert np.array_equal(cb.w_word(0, 1), cb.w_word(0, 0))
+        assert np.array_equal(cb.w_rows(0, 1, cb.x_word(0)), cb.w_rows(0, 0, cb.x_word(0)))
         y_prev, y_cur = _two_blocks(cb, 0, 0, 0, 9 + seed)
         res = _assert_decode_matches_full_table(cb, y_prev, y_cur, 0, 0, 0.4)
         assert res.status is DecodeStatus.AMBIGUOUS
@@ -393,10 +400,10 @@ def test_run_scheme_generates_w_rows_only_for_survivors(cand, monkeypatch):
     # decoding plus the output stage generate at most (condition-1 survivors
     # + 1) auxiliary rows per decoded block; the covering scan is counted apart
     rows = {"all": 0, "cover": 0, "survivors": 0}
-    w_rows_at = Codebook.w_rows_at
+    w_rows = Codebook.w_rows
 
-    def counted_w_rows_at(self, m, idx, x_row=None):
-        out = w_rows_at(self, m, idx, x_row)
+    def counted_w_rows(self, m, m_hat, x_row):
+        out = w_rows(self, m, m_hat, x_row)
         rows["all"] += out.shape[0]
         return out
 
@@ -415,7 +422,7 @@ def test_run_scheme_generates_w_rows_only_for_survivors(cand, monkeypatch):
         rows["survivors"] += int((gaps1 <= args[-1]).sum())
         return gaps1, gaps2
 
-    monkeypatch.setattr(Codebook, "w_rows_at", counted_w_rows_at)
+    monkeypatch.setattr(Codebook, "w_rows", counted_w_rows)
     monkeypatch.setattr(codec, "encode_block", counted_encode)
     monkeypatch.setattr(codec, "_decode_gaps", counted_decode_gaps)
     cfg = SchemeConfig(candidate=cand, n=300, num_blocks=8,
@@ -435,7 +442,8 @@ def test_encode_block_returns_smallest_index(cand):
     u = rng.integers(0, 2, 300)
     m = encode_block(u, 0, cb, eps=0.3)
     assert m is not None
-    gaps = _cover_gaps(cand, u, cb.x_word(0), cb.w_rows(0, 0, cb.m_count), 300)
+    x0 = cb.x_word(0)
+    gaps = _cover_gaps(cand, u, x0, cb.w_rows(0, np.arange(cb.m_count), x0), 300)
     assert gaps[m] <= 0.3
     assert (gaps[:m] > 0.3).all()
 
@@ -531,6 +539,73 @@ def test_run_scheme_mixing_identity_and_flag_consistency(cand):
                  or r.decoded_indices[b] != r.true_indices[b])
         assert bool(r.event_c[b]) == wrong
     assert r.decode_status[0] == "ok" and not r.event_c[0]
+
+
+def _per_block_types(cfg, r):
+    """(coord, last, all) count tables of run r rebuilt block by block: each
+    block's source, channel path and decoder output from its own keys, and
+    one full_type per block from its own boundary state."""
+    cand, n, B = cfg.candidate, cfg.n, cfg.num_blocks
+    nu, nx, nw, ny, nv = cand.sizes
+    cb = Codebook(cand, n, cfg.rate, cfg.seed)
+    y_state, tables = cfg.y0, []
+    for b in range(B):
+        u = draw(uniforms(derive_key(cfg.seed, _TAG_U, b), n), thresholds(cand.p_u.pmf))
+        x = cb.x_word(int(r.true_indices[b]))
+        y = channel_block(x, y_state, cand.channel, derive_key(cfg.seed, _TAG_CHAN, b))
+        v = np.zeros(n, dtype=np.int64)
+        if b < B - 1:
+            m_hat, m_next = int(r.decoded_indices[b]), int(r.decoded_indices[b + 1])
+            x_hat = cb.x_word(m_hat)
+            w_hat = cb.w_rows(m_hat, m_next, x_hat)[0]
+            v = draw(uniforms(derive_key(cfg.seed, _TAG_V, b), n),
+                     cand.p_v_given_yxw.thresholds[(y * nx + x_hat) * nw + w_hat])
+        tables.append(full_type(u, x, y, v, y_state, (nu, nx, ny, nv)).counts)
+        y_state = int(y[-1])
+    coord = np.sum(tables[:-1], axis=0)
+    return coord, tables[-1], coord + tables[-1]
+
+
+@pytest.mark.filterwarnings("ignore:rate")
+@pytest.mark.parametrize("which", ["blessed", "three_symbol_y"])
+def test_run_scheme_types_equal_per_block_oracle(cand, cand3, which):
+    # one count over the concatenated blocks equals the sum of per-block
+    # counts, each block started from its own threaded channel state
+    c, rate = (cand, BLESSED["rate_mid"]) if which == "blessed" else (cand3, 0.05)
+    for seed in (3, 21):
+        cfg = SchemeConfig(candidate=c, n=120, num_blocks=6, rate=rate,
+                           eps=BLESSED["eps_decode"], cover_eps=BLESSED["eps_cover"],
+                           seed=seed)
+        r = run_scheme(cfg)
+        coord, last, total = _per_block_types(cfg, r)
+        assert np.array_equal(r.type_coord.counts, coord)
+        assert np.array_equal(r.type_last.counts, last)
+        assert np.array_equal(r.type_all.counts, total)
+        assert r.mixing_identity_exact()
+
+
+def test_run_scheme_counts_three_types_and_draws_no_per_block_stream(cand, monkeypatch):
+    # the source and decoder-output draws are one uniform_grid call each, and
+    # the three types are three full_type calls, whatever the block count
+    calls = {"full_type": 0, "uniforms": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(codec, "full_type", counted("full_type", codec.full_type))
+    uniforms_fn = sys.modules["markovcoord.rng"].uniforms
+    for name, module in list(sys.modules.items()):
+        if name.startswith("markovcoord") and getattr(module, "uniforms", None) is uniforms_fn:
+            monkeypatch.setattr(module, "uniforms", counted("uniforms", uniforms_fn))
+    for blocks in (2, 9):
+        calls.update(full_type=0, uniforms=0)
+        run_scheme(SchemeConfig(candidate=cand, n=100, num_blocks=blocks,
+                                rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"],
+                                cover_eps=BLESSED["eps_cover"], seed=5))
+        assert calls == {"full_type": 3, "uniforms": 0}
 
 
 def test_run_scheme_strict_causality(cand):

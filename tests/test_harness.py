@@ -256,21 +256,11 @@ def test_packing_probe_single_codeword_never_fires():
     raw["trials"] = 10
     cfg = config_from_dict(raw)
     rs = run_experiment(cfg)
+    assert len(rs.rows) == 10
     assert all(r["metrics"]["event"] == 0 for r in rs.rows)
     assert all(r["metrics"]["m_count"] == 1 for r in rs.rows)
-
-
-def test_packing_probe_wrapper_checks_kind():
-    from markovcoord.harness import packing_probe
-
-    raw = default_config("packing-probe")
-    raw["sweep"] = {"n": [80], "rate": [0.02], "eps": [0.3]}
-    raw["trials"] = 3
-    rs = packing_probe(config_from_dict(raw))
-    assert len(rs.rows) == 3
-    assert all("i_channel_threshold" in r["metrics"] for r in rs.rows)
-    with pytest.raises(ValueError):
-        packing_probe(config_from_dict(_simulate_raw()))
+    assert all(r["metrics"]["i_channel_threshold"] == cfg.candidate.i_channel
+               for r in rs.rows)
 
 
 def test_packing_probe_overpacked_rate_fires():

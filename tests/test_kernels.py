@@ -25,7 +25,6 @@ from markovcoord.rng import (
     derive_key,
     derive_keys,
     draw,
-    fold_keys,
     thresholds,
     uniform_grid,
     uniforms,
@@ -274,8 +273,36 @@ def test_scalar_and_vector_key_derivation_agree():
     for i, k in zip(idx, vec):
         assert int(k) == derive_key(777, int(i))
     for word in (0, 1, 5001):
-        folded = fold_keys(vec, word)
+        folded = derive_keys(vec, word)
         assert [int(k) for k in folded] == [derive_key(777, int(i), word) for i in idx]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_derive_keys_broadcasts_like_the_int_oracle():
+    # scalar x array, array x scalar and array x array, with keys near 2^64
+    # and numpy-scalar arguments; uint64 wrap-around must not warn
+    keys = [2 ** 64 - 1, 2 ** 64 - 2, 2 ** 63, 0, 777]
+    words = [0, 1, 5001, 2 ** 40, 2 ** 63 - 1]
+    key_arr = np.array(keys, dtype=np.uint64)
+    word_arr = np.array(words, dtype=np.int64)
+    for key in (keys[0], np.uint64(keys[1]), keys[4]):
+        assert [int(k) for k in derive_keys(key, word_arr)] == [
+            derive_key(int(key), w) for w in words]
+    for word in (words[2], np.int64(words[3]), np.uint64(words[4])):
+        assert [int(k) for k in derive_keys(key_arr, word)] == [
+            derive_key(k, int(word)) for k in keys]
+    assert [int(k) for k in derive_keys(key_arr, word_arr)] == [
+        derive_key(k, w) for k, w in zip(keys, words)]
+    out = derive_keys(np.uint64(keys[0]), np.int64(words[1]))  # scalar x scalar
+    assert out.shape == (1,) and int(out[0]) == derive_key(keys[0], words[1])
+    # nested folds give the multi-word key: derive_keys(k(s, T), b) = k(s, T, b)
+    root = derive_key(9, 3)
+    assert [int(k) for k in derive_keys(root, np.arange(6))] == [
+        derive_key(9, 3, b) for b in range(6)]
+    grid = derive_keys(derive_keys(root, key_arr[:2, None] % 7), word_arr[None, :])
+    assert grid.shape == (2, 5)
+    assert [[int(k) for k in row] for row in grid] == [
+        [derive_key(9, 3, k % 7, w) for w in words] for k in keys[:2]]
 
 
 def test_uniforms_are_in_unit_interval_and_reproducible():
