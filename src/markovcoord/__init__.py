@@ -52,7 +52,6 @@ from .codec import (
     MemoryGuard,
     RunResult,
     SchemeConfig,
-    channel_block,
     decode_block,
     encode_block,
     run_scheme,

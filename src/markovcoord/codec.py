@@ -3,11 +3,13 @@
 The scheme transmits B blocks of length n.  The encoder is one block
 behind the source (strict causality): at the start of block b it covers
 the previous block's source with an auxiliary codeword and sends the
-channel codeword indexed by the covering choice.  Channel state threads
-across block boundaries, the decoder resolves indices block by block with
-two Markov-typicality checks, and after the last block reconstructs the
-auxiliary words and generates its outputs; the final block's output is
-the all-zero sequence.
+channel codeword indexed by the covering choice.  The channel is one
+Markov path over the concatenated blocks, so its state carries across
+block boundaries; covering never looks at the channel output, so the
+whole path is sampled in one call once every index is chosen.  The
+decoder resolves indices block by block with two Markov-typicality
+checks, and after the last block reconstructs the auxiliary words and
+generates its outputs; the final block's output is the all-zero sequence.
 
 All randomness is counter-based (see rng): a scheme configuration plus
 its seed reproduces every codeword, channel transition, and decoder
@@ -25,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .probability import Kernel
 from .region import InnerCandidate
 from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
 from .typicality import FullType, check_seq, full_type
@@ -97,10 +98,12 @@ class SchemeConfig:
             raise ValueError("n must be >= 1")
         if self.num_blocks < 2:
             raise ValueError("num_blocks must be >= 2")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
+        if self.cover_eps is not None and not 0 < self.cover_eps < math.inf:
+            raise ValueError("cover_eps must be None or finite and positive")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and >= 0")
         if self.scan_limit is not None and self.scan_limit < 1:
             raise ValueError("scan_limit must be >= 1")
         ny = self.candidate.channel.output_size
@@ -220,16 +223,15 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     return None
 
 
-def channel_block(x_block: np.ndarray, y_init: int, channel: Kernel,
-                  key: int) -> np.ndarray:
-    """Transmit one block through the channel from state y_init.
-
-    The caller threads y_init = last output of the previous block, which
-    preserves the cross-block memory of the channel.
-    """
-    if not 0 <= y_init < channel.output_size:
-        raise ValueError(f"y_init={y_init} outside [0, {channel.output_size})")
-    return kernels.markov_path(x_block, y_init, channel.thresholds, key)
+def _transmit(cb: Codebook, m: np.ndarray, y0: int,
+              seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y), each (len(m), n): the channel codewords X(m[b]) sent in blocks
+    b = 0, 1, ... and the outputs of one channel path over them from y0;
+    block b's words are the stream of derive_key(seed, _TAG_CHAN, b)."""
+    x = kernels.plane_symbols(cb.x_planes[m], cb.n)
+    s = uniform_grid(derive_keys(derive_key(seed, _TAG_CHAN), np.arange(len(m))), cb.n)
+    y = kernels.markov_path(x.ravel(), y0, cb.candidate.channel.thresholds, s.ravel())
+    return x, y.reshape(x.shape)
 
 
 def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
@@ -281,7 +283,7 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     ny = cb.candidate.channel.output_size
     y_prev_block = check_seq(y_prev_block, ny, "y_prev_block", cb.n)
     y_block = check_seq(y_block, ny, "y_block", cb.n)
-    boundary_prev, boundary_cur = check_seq(y_boundary_states, ny, "y_boundary_states")
+    boundary_prev, boundary_cur = check_seq(y_boundary_states, ny, "y_boundary_states", 2)
     cb.materialize_x()
     gaps1, gaps2 = _decode_gaps(cb, y_prev_block, y_block, m_tilde_prev,
                                 boundary_prev, boundary_cur, eps)
@@ -369,21 +371,14 @@ def run_scheme(cfg: SchemeConfig,
 
     true_m = np.zeros(B, dtype=np.int64)
     event_a = np.zeros(B, dtype=bool)
-    x = np.empty((B, n), dtype=np.int64)
-    y = np.empty((B, n), dtype=np.int64)
-    y_state = cfg.y0
-    for b in range(B):
-        if b > 0:
-            m = encode_block(u[b - 1], int(true_m[b - 1]), cb,
-                             cfg.effective_cover_eps, cfg.scan_limit)
-            if m is None:
-                event_a[b - 1] = True
-                m = 0
-            true_m[b] = m
-        x[b] = cb.x_word(int(true_m[b]))
-        y[b] = channel_block(x[b], y_state, cand.channel,
-                             derive_key(cfg.seed, _TAG_CHAN, b))
-        y_state = int(y[b, -1])
+    for b in range(1, B):
+        m = encode_block(u[b - 1], int(true_m[b - 1]), cb,
+                         cfg.effective_cover_eps, cfg.scan_limit)
+        if m is None:
+            event_a[b - 1] = True
+            m = 0
+        true_m[b] = m
+    x, y = _transmit(cb, true_m, cfg.y0, cfg.seed)
     boundaries = kernels.prev_states(y[:, -1], cfg.y0)  # y' at t=1 of each block
 
     counts = kernels.triplet_counts(x, y, boundaries, nx, ny)
@@ -438,10 +433,7 @@ def joint_packing_event(candidate: InnerCandidate, n: int, rate: float,
     if cb.m_count == 1:
         return {"event": False, "m_count": 1, "wrong_candidates": 0}
     m_prev, m_true = 0, 1
-    y_prev = channel_block(cb.x_word(m_prev), y0, candidate.channel,
-                           derive_key(seed, _TAG_CHAN, 0))
-    y_cur = channel_block(cb.x_word(m_true), int(y_prev[-1]), candidate.channel,
-                          derive_key(seed, _TAG_CHAN, 1))
+    _, (y_prev, y_cur) = _transmit(cb, np.array([m_prev, m_true]), y0, seed)
     gaps1, gaps2 = _decode_gaps(cb, y_prev, y_cur, m_prev, y0, int(y_prev[-1]), eps)
     passing = (gaps1 <= eps) & (gaps2 <= eps)
     passing[m_true] = False

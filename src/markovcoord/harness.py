@@ -22,18 +22,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .codec import (
     DecodeStatus,
     SchemeConfig,
-    channel_block,
     joint_packing_event,
     message_count,
     run_scheme,
 )
 from .probability import AssumptionViolated, ConvergenceError, Dist, Kernel
 from .region import InnerCandidate, optimize_auxiliary
-from .rng import derive_key, draw, thresholds, uniforms
+from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
 from .typicality import aep_audit, prop1_gaps
 
 KINDS = ("region", "simulate", "typicality-audit", "aep-audit", "packing-probe")
@@ -373,8 +372,9 @@ def _run_simulate(cfg, point, seed):
 def _run_typicality_audit(cfg, point, seed):
     cand, y0 = cfg.candidate, cfg.y0
     n, eps = int(point["n"]), float(point["eps"])
-    x_seq = draw(uniforms(derive_key(seed, 0), n), thresholds(cand.p_x.pmf))
-    y_seq = channel_block(x_seq, y0, cand.channel, derive_key(seed, 1))
+    s_x, s_chan = uniform_grid(derive_keys(seed, [0, 1]), n)
+    x_seq = draw(s_x, thresholds(cand.p_x.pmf))
+    y_seq = kernels.markov_path(x_seq, y0, cand.channel.thresholds, s_chan)
     gaps = prop1_gaps(x_seq, y_seq, y0, cand.p_x, cand.channel, pi=cand.equilibrium)
     joint_typical = gaps["joint"] <= eps
     slop = 1e-9  # independent rounding of the separate gap summations

@@ -40,20 +40,22 @@ PLANE_PASS_BYTES = 1 << 22  # plane AND temporaries per counting pass
 
 
 def markov_path(x_seq: np.ndarray, y0: int, thr_rows: np.ndarray,
-                key: int | np.ndarray) -> np.ndarray:
+                s: np.ndarray) -> np.ndarray:
     """Sample a channel output path for input x_seq from initial state y0.
 
     thr_rows is the flattened (nx*ny, ny-1) conditional threshold table,
-    row x * ny + y_prev; y_t is draw(s_t, thr_rows[x_t * ny + y_{t-1}])
-    with s_t at counter t of the keyed stream.  A (T, n) x_seq with an
-    array of T keys samples T independent paths, row i from keys[i].
-    Steps are composed in segments of about PATH_SEGMENT_SYMBOLS symbols,
-    each starting from the last state of the one before.
+    row x * ny + y_prev; y_t is draw(s_t, thr_rows[x_t * ny + y_{t-1}]),
+    with s the 53-bit words (`rng.uniform_grid`) in the shape of x_seq.
+    A (T, n) x_seq samples T independent paths, each from y0.  Steps are
+    composed in segments of about PATH_SEGMENT_SYMBOLS symbols, each
+    starting from the last state of the one before.
     """
     x_seq = np.asarray(x_seq, dtype=np.int64)
     n = x_seq.shape[-1]
-    s = uniform_grid(np.atleast_1d(np.asarray(key, dtype=np.uint64)), n).reshape(x_seq.shape)
     ny = thr_rows.shape[1] + 1
+    if not 0 <= y0 < ny:
+        raise ValueError(f"y0={y0} outside [0, {ny})")
+    s = np.reshape(s, x_seq.shape)
     tables = thr_rows.reshape(thr_rows.shape[0] // ny, ny, ny - 1)
     y = np.empty(x_seq.shape, dtype=np.int64)
     state = np.full(x_seq.shape[:-1] + (1, 1), y0, dtype=np.int64)

@@ -63,17 +63,12 @@ def _finalize_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def uniforms(key: int, n: int) -> np.ndarray:
-    """53-bit words at counters 1..n of the keyed stream; row 0 of
-    uniform_grid([key], n)."""
+def uniform_grid(keys, n: int) -> np.ndarray:
+    """(len(keys), n) 53-bit words at counters 1..n; row i is the stream of
+    keys[i], and a single key gives one row."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     c = np.arange(1, n + 1, dtype=np.uint64) * _U_PHI
-    return _finalize_u64(np.uint64(key) + c) >> np.uint64(11)
-
-
-def uniform_grid(keys: np.ndarray, n: int) -> np.ndarray:
-    """(len(keys), n) 53-bit words; row i is the stream of keys[i]."""
-    c = np.arange(1, n + 1, dtype=np.uint64) * _U_PHI
-    return _finalize_u64(keys.astype(np.uint64)[:, None] + c[None, :]) >> np.uint64(11)
+    return _finalize_u64(keys[:, None] + c[None, :]) >> np.uint64(11)
 
 
 def thresholds(pmf: np.ndarray) -> np.ndarray:

@@ -333,7 +333,8 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
             # and the channel from the same key folded with 1
             keys = derive_keys(trial_root, np.arange(lo, min(lo + chunk, sample_size)))
             x = draw(uniform_grid(derive_keys(keys, 0), n), x_thr)
-            y = kernels.markov_path(x, y0, w.thresholds, derive_keys(keys, 1))
+            y = kernels.markov_path(x, y0, w.thresholds,
+                                    uniform_grid(derive_keys(keys, 1), n))
             hit = kernels.l1_gaps(kernels.triplet_counts(x, y, y0, nx, ny), n, q_flat) <= eps
             if hit.any():
                 typical += int(hit.sum())

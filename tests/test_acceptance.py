@@ -12,10 +12,10 @@ import pytest
 from conftest import BLESSED, make_flip_candidate, random_channel_instance
 from _oracles import binary_grid_slack, nested_loop_inner, nested_loop_outer
 
+from markovcoord import kernels
 from markovcoord.codec import (
     Codebook,
     SchemeConfig,
-    channel_block,
     encode_block,
     joint_packing_event,
     message_count,
@@ -49,7 +49,7 @@ from markovcoord.region import (
     witness_w_copies_v,
     witness_w_equals_u,
 )
-from markovcoord.rng import derive_key, draw, thresholds, uniforms
+from markovcoord.rng import derive_key, derive_keys, draw, thresholds, uniform_grid
 from markovcoord.typicality import aep_audit, prop1_gaps, triplet_type
 
 
@@ -135,8 +135,9 @@ def test_criterion_04_ergodicity():
     for n in (1000, 10000):
         gaps = []
         for seed in range(100):
-            x = draw(uniforms(derive_key(404, n, seed, 0), n), x_thr)
-            y = channel_block(x, 0, cand.channel, derive_key(404, n, seed, 1))
+            s_x, s_chan = uniform_grid(derive_keys(derive_key(404, n, seed), [0, 1]), n)
+            x = draw(s_x, x_thr)
+            y = kernels.markov_path(x, 0, cand.channel.thresholds, s_chan)
             t = triplet_type(x, y, 0, 2, 2)
             gaps.append(float(np.abs(t.normalized - q3).sum()))
         medians[n] = float(np.median(gaps))
@@ -160,8 +161,9 @@ def test_criterion_05_projection_closure():
         x_thr = thresholds(px.pmf)
         for trial in range(pairs_per_instance):
             n = 40 if trial % 2 else 80
-            x = draw(uniforms(derive_key(606, k, trial, 0), n), x_thr)
-            y = channel_block(x, 0, w, derive_key(606, k, trial, 1))
+            s_x, s_chan = uniform_grid(derive_keys(derive_key(606, k, trial), [0, 1]), n)
+            x = draw(s_x, x_thr)
+            y = kernels.markov_path(x, 0, w.thresholds, s_chan)
             gaps = prop1_gaps(x, y, 0, px, w, pi)
             checked += 1
             # 1e-9 absorbs independent rounding of the two gap summations;
@@ -241,7 +243,7 @@ def test_criterion_07_covering_regime():
         cb = Codebook(cand, n, rate, seed=derive_key(707, seed))
         m_prev = 0
         for b in range(200):
-            u = draw(uniforms(derive_key(708, seed, b), n), u_thr)
+            u = draw(uniform_grid(derive_key(708, seed, b), n)[0], u_thr)
             m = encode_block(u, m_prev, cb, BLESSED["eps_cover"])
             total += 1
             if m is None:

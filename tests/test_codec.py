@@ -1,4 +1,4 @@
-import sys
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,8 +10,8 @@ from conftest import (BLESSED, make_flip_candidate, random_channel_instance, ran
 
 from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
-from markovcoord.rng import derive_key, draw, thresholds, uniforms
-from markovcoord.typicality import full_type
+from markovcoord.rng import derive_key, derive_keys, draw, thresholds, uniform_grid
+from markovcoord.typicality import aep_audit, full_type
 from markovcoord import codec, kernels
 from markovcoord.codec import (
     _TAG_CHAN,
@@ -22,7 +22,6 @@ from markovcoord.codec import (
     DecodeStatus,
     MemoryGuard,
     SchemeConfig,
-    channel_block,
     decode_block,
     encode_block,
     joint_packing_event,
@@ -35,6 +34,14 @@ from markovcoord.codec import (
 def cand():
     return make_flip_candidate(BLESSED["p0"], BLESSED["p1"], BLESSED["a0"],
                                BLESSED["a1"], BLESSED["vmix"])
+
+
+def _channel(x, y0, channel, keys):
+    """Outputs of the input rows x, one row per key, as one channel path from
+    y0: row b runs on the words of keys[b] from the last state of row b - 1."""
+    x = np.atleast_2d(x)
+    s = uniform_grid(keys, x.shape[-1])
+    return kernels.markov_path(x.ravel(), y0, channel.thresholds, s.ravel()).reshape(x.shape)
 
 
 def test_message_count():
@@ -60,6 +67,20 @@ def test_scheme_config_validation(cand):
         SchemeConfig(candidate=cand, n=0, num_blocks=3, rate=0.01, eps=0.2)
     with pytest.warns(UserWarning, match="rate"):
         SchemeConfig(candidate=cand, n=100, num_blocks=3, rate=0.5, eps=0.2)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eps", 0.0), ("eps", -0.1), ("eps", math.nan), ("eps", math.inf),
+    ("cover_eps", 0.0), ("cover_eps", -1.0), ("cover_eps", math.nan), ("cover_eps", math.inf),
+    ("rate", -0.01), ("rate", math.nan), ("rate", math.inf),
+])
+def test_scheme_config_rejects_what_the_harness_rejects(cand, field, value):
+    # a radius of 0, below 0 or nan fails every covering or every decode, and
+    # an unbounded one or a non-finite rate describes no scheme
+    args = dict(candidate=cand, n=100, num_blocks=3, rate=0.01, eps=0.2)
+    args[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SchemeConfig(**args)
 
 
 def test_codebook_determinism_and_lazy_equivalence(cand):
@@ -173,7 +194,7 @@ def test_encode_block_rejects_out_of_range_source(cand):
 @pytest.mark.parametrize("name", ["y_prev_block", "y_block", "y_boundary_states"])
 def test_decode_block_rejects_out_of_range_states(cand, name):
     cb = Codebook(cand, 60, 0.05, seed=2)
-    y = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
+    y = _channel(cb.x_word(0), 0, cand.channel, derive_key(4, 0))[0]
     good = {"y_prev_block": y, "y_block": y, "y_boundary_states": np.array([0, y[-1]])}
     for bad in (2, 5, -1):  # |Y| = 2
         args = dict(good, **{name: good[name].copy()})
@@ -181,6 +202,10 @@ def test_decode_block_rejects_out_of_range_states(cand, name):
         with pytest.raises(ValueError, match=f"{name} has symbols outside"):
             decode_block(args["y_prev_block"], args["y_block"], 0, cb, 0.4,
                          args["y_boundary_states"])
+    if name == "y_boundary_states":  # one state for each of the two blocks
+        for bad in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match=rf"{name} length {len(bad)} does not match"):
+                decode_block(y, y, 0, cb, 0.4, bad)
 
 
 def test_encode_block_rejects_out_of_range_message_index(cand):
@@ -193,7 +218,7 @@ def test_encode_block_rejects_out_of_range_message_index(cand):
 
 def test_decode_block_rejects_out_of_range_message_index(cand):
     cb = Codebook(cand, 60, 0.05, seed=2)
-    y = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
+    y = _channel(cb.x_word(0), 0, cand.channel, derive_key(4, 0))[0]
     for bad in (-1, cb.m_count, 100):
         with pytest.raises(ValueError,
                            match=r"m_tilde_prev outside \[0, m_count\)"):
@@ -204,10 +229,10 @@ def test_decode_block_rejects_out_of_range_message_index(cand):
 @pytest.mark.parametrize("name", ["y_prev_block", "y_block"])
 def test_decode_block_rejects_wrong_block_length(cand, name, delta):
     cb = Codebook(cand, 60, 0.05, seed=2)
-    y = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
+    y = _channel(cb.x_word(0), 0, cand.channel, derive_key(4, 0))[0]
     blocks = {"y_prev_block": y, "y_block": y}
-    blocks[name] = channel_block(np.zeros(60 + delta, dtype=np.int64), 0,
-                                 cand.channel, derive_key(4, 1))
+    blocks[name] = _channel(np.zeros(60 + delta, dtype=np.int64), 0,
+                            cand.channel, derive_key(4, 1))[0]
     with pytest.raises(ValueError, match=f"{name} length {60 + delta} does not match n=60"):
         decode_block(blocks["y_prev_block"], blocks["y_block"], 0, cb, 0.4,
                      (0, int(y[-1])))
@@ -256,11 +281,9 @@ def test_encode_block_chunks_tile_the_scan(cand):
 
 
 def _two_blocks(cb, m_prev, m_true, y0, seed):
-    y_prev = channel_block(cb.x_word(m_prev), y0, cb.candidate.channel,
-                           derive_key(seed, _TAG_CHAN, 0))
-    y_cur = channel_block(cb.x_word(m_true), int(y_prev[-1]), cb.candidate.channel,
-                          derive_key(seed, _TAG_CHAN, 1))
-    return y_prev, y_cur
+    x = np.stack([cb.x_word(m_prev), cb.x_word(m_true)])
+    return _channel(x, y0, cb.candidate.channel,
+                    derive_keys(derive_key(seed, _TAG_CHAN), [0, 1]))
 
 
 def _assert_decode_matches_full_table(cb, y_prev, y_cur, m_prev, y0, eps):
@@ -448,14 +471,14 @@ def test_encode_block_returns_smallest_index(cand):
     assert (gaps[:m] > 0.3).all()
 
 
-def test_channel_block_deterministic_kernel():
+def test_markov_path_deterministic_kernel():
     table = np.zeros((2, 2, 2))
     for x in range(2):
         for i in range(2):
             table[x, i, x ^ i] = 1.0
     chan = Kernel(table)
     x = np.array([0, 1, 1, 0, 1], dtype=np.int64)
-    y = channel_block(x, 0, chan, key=99)
+    y = kernels.markov_path(x, 0, chan.thresholds, uniform_grid(99, 5))
     expect = []
     prev = 0
     for xv in x:
@@ -464,28 +487,28 @@ def test_channel_block_deterministic_kernel():
     assert np.array_equal(y, expect)
 
 
-def test_channel_block_memoryless_rows_match_pmf():
+def test_markov_path_memoryless_rows_match_pmf():
     rows = np.broadcast_to(np.array([0.3, 0.7]), (2, 2, 2)).copy()
     chan = Kernel(rows)
     x = np.zeros(20_000, dtype=np.int64)
-    y = channel_block(x, 0, chan, key=5)
+    y = kernels.markov_path(x, 0, chan.thresholds, uniform_grid(5, x.size))
     assert abs(y.mean() - 0.7) < 0.02
 
 
-def test_channel_block_first_symbol_depends_only_on_first_input(cand):
+def test_markov_path_first_symbol_depends_only_on_first_input(cand):
     x1 = np.array([1, 0, 0, 1, 1], dtype=np.int64)
     x2 = np.array([1, 1, 1, 0, 0], dtype=np.int64)  # same first symbol
-    y1 = channel_block(x1, 1, cand.channel, key=77)
-    y2 = channel_block(x2, 1, cand.channel, key=77)
+    s = uniform_grid(77, 5)
+    y1 = kernels.markov_path(x1, 1, cand.channel.thresholds, s)
+    y2 = kernels.markov_path(x2, 1, cand.channel.thresholds, s)
     assert y1[0] == y2[0]
 
 
 def test_decode_block_single_codeword(cand):
     cb = Codebook(cand, 400, 0.0, seed=0)
     cb.materialize_x()
-    y_prev = channel_block(cb.x_word(0), 0, cand.channel, derive_key(4, 0))
-    y_cur = channel_block(cb.x_word(0), int(y_prev[-1]), cand.channel,
-                          derive_key(4, 1))
+    y_prev, y_cur = _channel(np.stack([cb.x_word(0)] * 2), 0, cand.channel,
+                             derive_keys(4, [0, 1]))
     res = decode_block(y_prev, y_cur, 0, cb, 0.4, (0, int(y_prev[-1])))
     assert res.status is DecodeStatus.OK and res.index == 0
 
@@ -496,9 +519,8 @@ def test_decode_block_forced_collision_is_ambiguous(cand):
     # duplicate codeword 0 into slot 1: both satisfy both conditions
     cb.x_planes[1] = cb.x_planes[0]
     _collide_w(cb)
-    y_prev = channel_block(cb.x_word(0), 0, cand.channel, derive_key(9, 0))
-    y_cur = channel_block(cb.x_word(0), int(y_prev[-1]), cand.channel,
-                          derive_key(9, 1))
+    y_prev, y_cur = _channel(np.stack([cb.x_word(0)] * 2), 0, cand.channel,
+                             derive_keys(9, [0, 1]))
     res = decode_block(y_prev, y_cur, 0, cb, 0.4, (0, int(y_prev[-1])))
     assert res.status is DecodeStatus.AMBIGUOUS
     assert res.n_candidates >= 2
@@ -543,22 +565,24 @@ def test_run_scheme_mixing_identity_and_flag_consistency(cand):
 
 def _per_block_types(cfg, r):
     """(coord, last, all) count tables of run r rebuilt block by block: each
-    block's source, channel path and decoder output from its own keys, and
-    one full_type per block from its own boundary state."""
+    block's source, channel path and decoder output from its own keys, one
+    markov_path per block from the state the previous block ended in, and
+    one full_type per block from that boundary state."""
     cand, n, B = cfg.candidate, cfg.n, cfg.num_blocks
     nu, nx, nw, ny, nv = cand.sizes
     cb = Codebook(cand, n, cfg.rate, cfg.seed)
     y_state, tables = cfg.y0, []
     for b in range(B):
-        u = draw(uniforms(derive_key(cfg.seed, _TAG_U, b), n), thresholds(cand.p_u.pmf))
+        u = draw(uniform_grid(derive_key(cfg.seed, _TAG_U, b), n)[0], thresholds(cand.p_u.pmf))
         x = cb.x_word(int(r.true_indices[b]))
-        y = channel_block(x, y_state, cand.channel, derive_key(cfg.seed, _TAG_CHAN, b))
+        y = kernels.markov_path(x, y_state, cand.channel.thresholds,
+                                uniform_grid(derive_key(cfg.seed, _TAG_CHAN, b), n))
         v = np.zeros(n, dtype=np.int64)
         if b < B - 1:
             m_hat, m_next = int(r.decoded_indices[b]), int(r.decoded_indices[b + 1])
             x_hat = cb.x_word(m_hat)
             w_hat = cb.w_rows(m_hat, m_next, x_hat)[0]
-            v = draw(uniforms(derive_key(cfg.seed, _TAG_V, b), n),
+            v = draw(uniform_grid(derive_key(cfg.seed, _TAG_V, b), n)[0],
                      cand.p_v_given_yxw.thresholds[(y * nx + x_hat) * nw + w_hat])
         tables.append(full_type(u, x, y, v, y_state, (nu, nx, ny, nv)).counts)
         y_state = int(y[-1])
@@ -585,9 +609,9 @@ def test_run_scheme_types_equal_per_block_oracle(cand, cand3, which):
 
 
 def test_run_scheme_counts_three_types_and_draws_no_per_block_stream(cand, monkeypatch):
-    # the source and decoder-output draws are one uniform_grid call each, and
-    # the three types are three full_type calls, whatever the block count
-    calls = {"full_type": 0, "uniforms": 0}
+    # the three types are three full_type calls and the channel of all blocks
+    # is one markov_path call, whatever the block count
+    calls = {"full_type": 0, "markov_path": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -596,16 +620,13 @@ def test_run_scheme_counts_three_types_and_draws_no_per_block_stream(cand, monke
         return wrapper
 
     monkeypatch.setattr(codec, "full_type", counted("full_type", codec.full_type))
-    uniforms_fn = sys.modules["markovcoord.rng"].uniforms
-    for name, module in list(sys.modules.items()):
-        if name.startswith("markovcoord") and getattr(module, "uniforms", None) is uniforms_fn:
-            monkeypatch.setattr(module, "uniforms", counted("uniforms", uniforms_fn))
+    monkeypatch.setattr(kernels, "markov_path", counted("markov_path", kernels.markov_path))
     for blocks in (2, 9):
-        calls.update(full_type=0, uniforms=0)
+        calls.update(full_type=0, markov_path=0)
         run_scheme(SchemeConfig(candidate=cand, n=100, num_blocks=blocks,
                                 rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"],
                                 cover_eps=BLESSED["eps_cover"], seed=5))
-        assert calls == {"full_type": 3, "uniforms": 0}
+        assert calls == {"full_type": 3, "markov_path": 1}
 
 
 def test_run_scheme_strict_causality(cand):
@@ -624,10 +645,15 @@ def test_run_scheme_strict_causality(cand):
         assert np.array_equal(r.true_indices[:b + 1], base.true_indices[:b + 1])
 
 
-@pytest.mark.parametrize("y0", [5, -1])
-def test_channel_block_rejects_out_of_range_y_init(cand, y0):
-    with pytest.raises(ValueError, match="y_init"):
+@pytest.mark.parametrize("y0", [2, 5, -1])  # |Y| = 2
+def test_channel_rejects_out_of_range_y0(cand, y0):
+    with pytest.raises(ValueError, match=rf"y0={y0} outside \[0, 2\)"):
+        kernels.markov_path(np.zeros(50, dtype=np.int64), y0, cand.channel.thresholds,
+                            uniform_grid(0, 50))
+    with pytest.raises(ValueError, match=rf"y0={y0} outside \[0, 2\)"):
         joint_packing_event(cand, 50, 0.05, 0.24, y0=y0, seed=0)
+    with pytest.raises(ValueError, match="y0 out of range"):
+        aep_audit(16, 0.24, cand.p_x, cand.channel, y0=y0, mode="sample", sample_size=10)
 
 
 @pytest.mark.parametrize("bad,match", [
@@ -636,13 +662,13 @@ def test_channel_block_rejects_out_of_range_y_init(cand, y0):
 ], ids=["symbol", "length"])
 def test_run_scheme_checks_source_blocks_at_entry(cand, monkeypatch, bad, match):
     calls = []
-    channel = codec.channel_block
+    channel = kernels.markov_path
 
     def counted(*args):
         calls.append(1)
         return channel(*args)
 
-    monkeypatch.setattr(codec, "channel_block", counted)
+    monkeypatch.setattr(kernels, "markov_path", counted)
     cfg = SchemeConfig(candidate=cand, n=60, num_blocks=6,
                        rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"], seed=4)
     rng = np.random.default_rng(0)
@@ -659,9 +685,10 @@ def test_run_scheme_cross_block_memory(cand):
     n = 50
     x_a = np.array([1] + [0] * (n - 1), dtype=np.int64)
     x_b = np.array([1] + [1] * (n - 1), dtype=np.int64)
+    s = uniform_grid(123, n)
     for y_init in (0, 1):
-        ya = channel_block(x_a, y_init, cand.channel, key=123)
-        yb = channel_block(x_b, y_init, cand.channel, key=123)
+        ya = kernels.markov_path(x_a, y_init, cand.channel.thresholds, s)
+        yb = kernels.markov_path(x_b, y_init, cand.channel.thresholds, s)
         assert ya[0] == yb[0]
 
 

@@ -27,7 +27,6 @@ from markovcoord.rng import (
     draw,
     thresholds,
     uniform_grid,
-    uniforms,
 )
 
 TWO_53 = 2 ** 53
@@ -80,7 +79,7 @@ def test_markov_path_matches_loop():
     pmf = rng.dirichlet(np.ones(3), size=6)  # nx*ny = 6 rows, ny = 3
     n = 2 * kernels.PATH_SEGMENT_SYMBOLS + 123  # crosses two segment boundaries
     x = rng.integers(0, 2, n).astype(np.int64)
-    y = kernels.markov_path(x, 1, thresholds(pmf), 987)
+    y = kernels.markov_path(x, 1, thresholds(pmf), uniform_grid(987, n))
     assert y.dtype == np.int64
     assert np.array_equal(y, channel_path_loop(x, 1, make_cdf(pmf), _float_uniforms(987, n)))
 
@@ -96,8 +95,9 @@ def test_markov_path_segments_carry_the_state(monkeypatch, segment):
                          for i in range(4)])
     monkeypatch.setattr(kernels, "PATH_SEGMENT_SYMBOLS", segment)
     thr = thresholds(pmf)
-    assert np.array_equal(kernels.markov_path(x, 1, thr, keys), expected)
-    assert np.array_equal(kernels.markov_path(x[0], 1, thr, int(keys[0])), expected[0])
+    s = uniform_grid(keys, 300)
+    assert np.array_equal(kernels.markov_path(x, 1, thr, s), expected)
+    assert np.array_equal(kernels.markov_path(x[0], 1, thr, s[0]), expected[0])
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 1000),
@@ -108,7 +108,7 @@ def test_markov_path_property(nx, ny, n, seed, key, data):
     rng = np.random.default_rng(seed)
     pmf = _pmf_with_zero_cells(rng, nx * ny, ny)
     x = rng.integers(0, nx, n).astype(np.int64)
-    y = kernels.markov_path(x, y0, thresholds(pmf), key)
+    y = kernels.markov_path(x, y0, thresholds(pmf), uniform_grid(key, n))
     assert np.array_equal(y, channel_path_loop(x, y0, make_cdf(pmf), _float_uniforms(key, n)))
 
 
@@ -120,10 +120,16 @@ def test_batched_markov_path_equals_stacked_rows(nx, ny, n, rows, seed, data):
     rng = np.random.default_rng(seed)
     thr = thresholds(_pmf_with_zero_cells(rng, nx * ny, ny))
     x = rng.integers(0, nx, (rows, n)).astype(np.int64)
-    keys = derive_keys(seed, np.arange(rows))
-    stacked = np.stack([kernels.markov_path(x[i], y0, thr, int(keys[i]))
-                        for i in range(rows)])
-    assert np.array_equal(kernels.markov_path(x, y0, thr, keys), stacked)
+    s = uniform_grid(derive_keys(seed, np.arange(rows)), n)
+    stacked = np.stack([kernels.markov_path(x[i], y0, thr, s[i]) for i in range(rows)])
+    assert np.array_equal(kernels.markov_path(x, y0, thr, s), stacked)
+    # the rows raveled are one path: row i starts from the last state of row i - 1
+    chained, state = [], y0
+    for i in range(rows):
+        chained.append(kernels.markov_path(x[i], state, thr, s[i]))
+        state = int(chained[-1][-1])
+    assert np.array_equal(kernels.markov_path(x.ravel(), y0, thr, s.ravel()),
+                          np.concatenate(chained))
 
 
 def test_word_symbols_matches_int_oracle():
@@ -204,8 +210,12 @@ def _nodes_by_function(tree):
 
 
 def _is_call(node, name):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == name)
+    """A call of `name`, as an attribute (np.bincount) or a bare name."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.attr if isinstance(func, ast.Attribute)
+            else getattr(func, "id", None)) == name
 
 
 def _is_shift(node):
@@ -216,22 +226,29 @@ def _is_shift(node):
             and any("1:]" in ast.unparse(t) for t in node.targets))
 
 
-# call -> the one kernels function allowed to make it: the count and bit-plane layers
-_ONE_LAYER_CALLS = {"bincount": "row_counts", "bitwise_count": "plane_triplet_counts",
-                    "packbits": "bit_planes", "unpackbits": "plane_symbols"}
+# call -> the (module, function) pairs allowed to make it: the count, bit-plane
+# and word-generator layers
+_ONE_LAYER_CALLS = {
+    "bincount": {("kernels.py", "row_counts")},
+    "bitwise_count": {("kernels.py", "plane_triplet_counts")},
+    "packbits": {("kernels.py", "bit_planes")},
+    "unpackbits": {("kernels.py", "plane_symbols")},
+    "_finalize_u64": {("rng.py", "derive_keys"), ("rng.py", "uniform_grid")},
+}
 
 
 def test_count_tables_have_one_layer():
     # every count table is a kernels.row_counts bincount or a popcount in
-    # kernels.plane_triplet_counts, every y' shift is kernels.prev_states, and
-    # the bit-plane format is packed and unpacked in kernels alone; a private
+    # kernels.plane_triplet_counts, every y' shift is kernels.prev_states, the
+    # bit-plane format is packed and unpacked in kernels alone, and splitmix
+    # words come from rng.derive_keys and rng.uniform_grid alone; a private
     # copy elsewhere in the package fails here
     stray = []
     for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
         for fn, node in _nodes_by_function(ast.parse(path.read_text())):
             where = (path.name, fn)
-            for call, owner in _ONE_LAYER_CALLS.items():
-                if _is_call(node, call) and where != ("kernels.py", owner):
+            for call, owners in _ONE_LAYER_CALLS.items():
+                if _is_call(node, call) and where not in owners:
                     stray.append(f"{path.name}:{node.lineno} {call} in {fn}")
             if _is_shift(node) and where != ("kernels.py", "prev_states"):
                 stray.append(f"{path.name}:{node.lineno} y' shift in {fn}")
@@ -306,13 +323,14 @@ def test_derive_keys_broadcasts_like_the_int_oracle():
 
 
 def test_uniforms_are_in_unit_interval_and_reproducible():
-    u1 = uniforms(42, 1000)
-    u2 = uniforms(42, 1000)
+    u1 = uniform_grid(42, 1000)
+    u2 = uniform_grid(42, 1000)
     assert np.array_equal(u1, u2)
+    assert u1.shape == (1, 1000)
     assert u1.dtype == np.uint64 and int(u1.max()) < TWO_53
-    # uniforms(key, n) is row 0 of uniform_grid([key, ...], n)
+    # a single key gives the row of that key in a key array
     grid = uniform_grid(np.array([42, 43], dtype=np.uint64), 1000)
-    assert np.array_equal(grid[0], u1) and np.array_equal(grid[1], uniforms(43, 1000))
+    assert np.array_equal(grid[0], u1[0]) and np.array_equal(grid[1], uniform_grid(43, 1000)[0])
     key = 2 ** 64 - 3  # the counter sum wraps modulo 2^64
-    assert [int(s) for s in uniforms(key, 50)] == [
+    assert [int(s) for s in uniform_grid(key, 50)[0]] == [
         int(splitmix_uniform(key, t + 1) * TWO_53) for t in range(50)]

@@ -15,9 +15,8 @@ from markovcoord.probability import (
     induced_transition,
     stationary_dist,
 )
-from markovcoord.rng import derive_key, draw, thresholds, uniforms
+from markovcoord.rng import derive_key, derive_keys, draw, thresholds, uniform_grid
 from markovcoord import kernels
-from markovcoord.codec import channel_block
 from markovcoord.typicality import (
     AUDIT_CHUNK_SYMBOLS,
     EnumerationTooLarge,
@@ -34,8 +33,9 @@ from markovcoord.typicality import (
 
 
 def _sample_pair(px, w, n, y0, seed):
-    x = draw(uniforms(derive_key(seed, 0), n), thresholds(px.pmf))
-    y = channel_block(x, y0, w, derive_key(seed, 1))
+    s_x, s_chan = uniform_grid(derive_keys(seed, [0, 1]), n)
+    x = draw(s_x, thresholds(px.pmf))
+    y = kernels.markov_path(x, y0, w.thresholds, s_chan)
     return x, y
 
 
@@ -346,8 +346,9 @@ def _sampled_audit_loop(n, eps, px, w, y0, sample_size, seed):
     nll_min, nll_max = np.inf, -np.inf
     for trial in range(sample_size):
         key = derive_key(seed, 5001, trial)
-        x_seq = draw(uniforms(derive_key(key, 0), n), x_thr)
-        y_seq = kernels.markov_path(x_seq, y0, w_thr, derive_key(key, 1))
+        s_x, s_chan = uniform_grid(derive_keys(key, [0, 1]), n)
+        x_seq = draw(s_x, x_thr)
+        y_seq = kernels.markov_path(x_seq, y0, w_thr, s_chan)
         t = triplet_type(x_seq, y_seq, y0, nx, ny)
         if float(np.abs(t.normalized - q).sum()) <= eps:
             typical += 1
