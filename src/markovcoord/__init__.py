@@ -9,7 +9,6 @@ from .probability import (
     Dist,
     JointDist,
     Kernel,
-    TransitionMatrix,
     chain_structure,
     cond_mutual_info,
     entropy,

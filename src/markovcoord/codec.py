@@ -72,6 +72,23 @@ def message_count(n: int, rate: float) -> int:
         return math.ceil(2.0 ** (x - k) * 2 ** 52) << (k - 52)
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
+
+
+def _check_code(candidate: InnerCandidate, n: int, rate: float, eps: float, y0: int) -> None:
+    """The checks SchemeConfig and joint_packing_event share, each naming its field."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_eps(eps)
+    if not 0 <= rate < math.inf:
+        raise ValueError("rate must be finite and >= 0")
+    ny = candidate.channel.output_size
+    if not 0 <= y0 < ny:
+        raise ValueError(f"y0={y0} outside [0, {ny})")
+
+
 @dataclass(frozen=True, eq=False)
 class SchemeConfig:
     """Parameters of one scheme execution.
@@ -94,21 +111,13 @@ class SchemeConfig:
     scan_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_code(self.candidate, self.n, self.rate, self.eps, self.y0)
         if self.num_blocks < 2:
             raise ValueError("num_blocks must be >= 2")
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be finite and positive")
         if self.cover_eps is not None and not 0 < self.cover_eps < math.inf:
             raise ValueError("cover_eps must be None or finite and positive")
-        if not 0 <= self.rate < math.inf:
-            raise ValueError("rate must be finite and >= 0")
         if self.scan_limit is not None and self.scan_limit < 1:
             raise ValueError("scan_limit must be >= 1")
-        ny = self.candidate.channel.output_size
-        if not 0 <= self.y0 < ny:
-            raise ValueError("y0 outside the state alphabet")
         i_aux, i_chan = self.candidate.i_auxiliary, self.candidate.i_channel
         if not i_aux <= self.rate <= i_chan:
             warnings.warn(
@@ -201,6 +210,7 @@ def encode_block(u_prev: np.ndarray, m_prev: int, cb: Codebook, eps: float,
     failure.  The scan reads 8 rows first and doubles its chunk up to 512,
     so a shallow hit generates few words.
     """
+    _check_eps(eps)
     if scan_limit is None:
         scan_limit = DEFAULT_SCAN_LIMIT
     elif scan_limit < 1:
@@ -278,6 +288,7 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     connecting auxiliary word.  y_boundary_states supplies the y' values
     at t=1 of the previous and current block (threaded channel states).
     """
+    _check_eps(eps)
     if not 0 <= m_tilde_prev < cb.m_count:
         raise ValueError("m_tilde_prev outside [0, m_count)")
     ny = cb.candidate.channel.output_size
@@ -428,6 +439,7 @@ def joint_packing_event(candidate: InnerCandidate, n: int, rate: float,
     indices (0, 1), and reports whether any wrong index passes both
     decoder conditions simultaneously.
     """
+    _check_code(candidate, n, rate, eps, y0)
     cb = Codebook(candidate, n, rate, seed)
     cb.materialize_x()
     if cb.m_count == 1:

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .codec import (
     DecodeStatus,
     SchemeConfig,
@@ -32,8 +32,8 @@ from .codec import (
 )
 from .probability import AssumptionViolated, ConvergenceError, Dist, Kernel
 from .region import InnerCandidate, optimize_auxiliary
-from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
-from .typicality import aep_audit, prop1_gaps
+from .rng import derive_key
+from .typicality import aep_audit, prop1_gaps, sample_pairs
 
 KINDS = ("region", "simulate", "typicality-audit", "aep-audit", "packing-probe")
 
@@ -372,9 +372,7 @@ def _run_simulate(cfg, point, seed):
 def _run_typicality_audit(cfg, point, seed):
     cand, y0 = cfg.candidate, cfg.y0
     n, eps = int(point["n"]), float(point["eps"])
-    s_x, s_chan = uniform_grid(derive_keys(seed, [0, 1]), n)
-    x_seq = draw(s_x, thresholds(cand.p_x.pmf))
-    y_seq = kernels.markov_path(x_seq, y0, cand.channel.thresholds, s_chan)
+    (x_seq,), (y_seq,) = sample_pairs(seed, n, cand.p_x, cand.channel, y0)
     gaps = prop1_gaps(x_seq, y_seq, y0, cand.p_x, cand.channel, pi=cand.equilibrium)
     joint_typical = gaps["joint"] <= eps
     slop = 1e-9  # independent rounding of the separate gap summations
@@ -493,8 +491,9 @@ def emit_report(rs: RecordSet, outdir: str) -> Dict[str, str]:
             values = [r["metrics"][m] for r in rows if m in r["metrics"]]
             if values and all(isinstance(v, (int, float)) for v in values):
                 arr = np.asarray(values, dtype=float)
-                stats = {"mean": arr.mean(), "median": np.median(arr),
-                         "q10": np.quantile(arr, 0.1), "q90": np.quantile(arr, 0.9)}
+                with np.errstate(invalid="ignore"):  # inf - inf between +-inf values
+                    stats = {"mean": arr.mean(), "median": np.median(arr),
+                             "q10": np.quantile(arr, 0.1), "q90": np.quantile(arr, 0.9)}
                 agg["metrics"][m] = {k: float(v) if np.isfinite(v) else None
                                      for k, v in stats.items()}
         summary["points"].append(agg)

@@ -1,9 +1,10 @@
 """Exact finite-alphabet probability arithmetic and Markov-chain analysis.
 
 Provides the value types used across the package (Dist, Kernel,
-JointDist, TransitionMatrix), information measures in bits, the
-input-induced output transition matrix of a one-step-memory channel, its
-equilibrium distribution, and the lifted adjacent-triplet chain.
+JointDist), information measures in bits, the input-induced output chain
+of a one-step-memory channel, its equilibrium distribution, the lifted
+adjacent-triplet chain and that chain's stationary law.  A chain is a
+square two-dimensional Kernel, T.table[i, j] = P(next=j | current=i).
 
 Chain structure is boolean matrix algebra on the positive-entry pattern:
 recurrence from the reachability closure, found by repeated squaring, and
@@ -108,31 +109,6 @@ class Kernel:
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """A square row-stochastic matrix T[i, j] = P(next=j | current=i)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _frozen(self.entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if entries.shape[0] == 0:
-            raise ValueError("transition matrix has no states")
-        if np.any(entries < 0):
-            raise ValueError("transition matrix has negative entries")
-        rowsums = entries.sum(axis=1)
-        if np.any(np.abs(rowsums - 1.0) > PROB_TOL):
-            i = int(np.argmax(np.abs(rowsums - 1.0)))
-            raise ValueError(f"row {i} sums to {rowsums[i]!r}, not 1 within {PROB_TOL}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class JointDist:
     """A joint pmf table with one axis per coordinate."""
 
@@ -223,8 +199,8 @@ def tv_distance(p: JointDist, q: JointDist) -> float:
     return float(np.abs(p.pmf - q.pmf).sum())
 
 
-def induced_transition(px: Dist, w: Kernel) -> TransitionMatrix:
-    """Output transition matrix T(j|i) = sum_x px(x) w(j | x, i).
+def induced_transition(px: Dist, w: Kernel) -> Kernel:
+    """Output chain T(j|i) = sum_x px(x) w(j | x, i), a square Kernel.
 
     `w` must condition on (input, previous output) with the previous-output
     alphabet equal to the output alphabet.
@@ -236,8 +212,7 @@ def induced_transition(px: Dist, w: Kernel) -> TransitionMatrix:
         raise ValueError("previous-output alphabet must equal output alphabet")
     if px.size != nx:
         raise ValueError("input pmf does not match channel input alphabet")
-    t = np.einsum("x,xij->ij", px.pmf, w.table)
-    return TransitionMatrix(t)
+    return Kernel(np.einsum("x,xij->ij", px.pmf, w.table))
 
 
 def _square_until(pattern: np.ndarray, power: int) -> np.ndarray:
@@ -254,7 +229,7 @@ def _square_until(pattern: np.ndarray, power: int) -> np.ndarray:
     return m > 0
 
 
-def chain_structure(t: TransitionMatrix) -> ChainStructure:
+def chain_structure(t: Kernel) -> ChainStructure:
     """Recurrent classes and aperiodicity of the positive-entry digraph A.
 
     reach[i, j] says j is reachable from i in zero or more steps: the
@@ -263,11 +238,15 @@ def chain_structure(t: TransitionMatrix) -> ChainStructure:
     reach[i]; classes are ordered by their smallest state.  The unique
     class of r states, when there is one, is aperiodic iff its pattern is
     primitive, i.e. its power (r-1)^2 + 1 is all-positive (Wielandt 1950).
+    A kernel that is not square and two-dimensional is a ValueError.
     """
-    a = t.entries > 0
-    reach = _square_until(a | np.eye(t.size, dtype=bool), t.size)
+    a = t.table > 0
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a chain is a square 2-D kernel, got shape {a.shape}")
+    k = a.shape[0]
+    reach = _square_until(a | np.eye(k, dtype=bool), k)
     # recurrent states that are the smallest of their class
-    smallest = (reach <= reach.T).all(axis=1) & (reach.argmax(axis=1) == np.arange(t.size))
+    smallest = (reach <= reach.T).all(axis=1) & (reach.argmax(axis=1) == np.arange(k))
     recurrent = [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(smallest)]
     is_unichain = len(recurrent) == 1
     if is_unichain:
@@ -282,15 +261,15 @@ def chain_structure(t: TransitionMatrix) -> ChainStructure:
     )
 
 
-def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
+def stationary_dist(t: Kernel, tol: float = STATIONARY_TOL) -> Dist:
     """Equilibrium pmf pi with ||pi T - pi||_1 <= tol.
 
     pi is zero off the recurrent class R; on R it solves pi T_RR = pi,
     sum(pi) = 1 directly, with the normalization replacing one balance
     equation (Stewart 1994, Numerical Solution of Markov Chains).
-    Raises AssumptionViolated unless the chain is unichain with an
-    aperiodic recurrent class, and ConvergenceError if the solution misses
-    the tolerance.
+    Raises what chain_structure raises, AssumptionViolated unless the
+    chain is unichain with an aperiodic recurrent class, and
+    ConvergenceError if the solution misses the tolerance.
     """
     structure = chain_structure(t)
     if not (structure.is_unichain and structure.is_aperiodic):
@@ -298,7 +277,7 @@ def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
             f"chain has {len(structure.recurrent_classes)} recurrent class(es), "
             f"aperiodic={structure.is_aperiodic}"
         )
-    m = t.entries
+    m = t.table
     rec = sorted(structure.recurrent_classes[0])
     # (T - I)^T on R, the diagonal taken from the off-diagonal sums so that
     # slow chains (T_ii near 1) keep their small rates exactly
@@ -306,7 +285,7 @@ def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=0))
     q[-1] = 1.0
-    pi = np.zeros(t.size)
+    pi = np.zeros(m.shape[0])
     pi[rec] = np.clip(np.linalg.solve(q, np.eye(len(rec))[-1]), 0.0, None)
     pi = pi / pi.sum()
     if np.abs(pi @ m - pi).sum() > tol:
@@ -314,8 +293,8 @@ def stationary_dist(t: TransitionMatrix, tol: float = STATIONARY_TOL) -> Dist:
     return Dist(pi)
 
 
-def lifted_transition(px: Dist, w: Kernel) -> TransitionMatrix:
-    """Transition matrix of the adjacent-triplet process S_t = (y', x, y).
+def lifted_transition(px: Dist, w: Kernel) -> Kernel:
+    """Chain kernel of the adjacent-triplet process S_t = (y', x, y).
 
     From state (i, x, j) the chain moves to (j, x', k) with probability
     px(x') w(k | x', j); any state whose first coordinate differs from j
@@ -331,9 +310,20 @@ def lifted_transition(px: Dist, w: Kernel) -> TransitionMatrix:
     m = np.zeros((ny, nx, ny, ny, nx, ny))  # (i, x, j) -> (j', x', k)
     j = np.arange(ny)
     m[:, :, j, j] = step
-    return TransitionMatrix(m.reshape(ny * nx * ny, ny * nx * ny))
+    return Kernel(m.reshape(ny * nx * ny, ny * nx * ny))
 
 
 def lifted_index(i: int, x: int, j: int, nx: int, ny: int) -> int:
     """Flat state index used by lifted_transition."""
     return (i * nx + x) * ny + j
+
+
+def triplet_law(pi: np.ndarray, px: np.ndarray, w: Kernel) -> np.ndarray:
+    """pi(y') px(x) w(y | x, y') as a (y', x, y) table.
+
+    With pi the equilibrium of the output chain px drives through w, this
+    is the stationary law of the lifted chain in lifted_transition's cell
+    order: the decoder's condition-1 target and the typicality target of
+    the input-driven Markov AEP.
+    """
+    return np.einsum("i,x,xij->ixj", pi, px, w.table)

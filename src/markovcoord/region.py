@@ -33,6 +33,7 @@ from .probability import (
     induced_transition,
     mutual_info,
     stationary_dist,
+    triplet_law,
     tv_distance,
 )
 
@@ -132,8 +133,7 @@ class InnerCandidate:
     @cached_property
     def decode_target1(self) -> np.ndarray:
         """Decoder condition 1 target over (y', x, y): pi(y') P(x) W(y | x, y')."""
-        return _frozen(np.einsum("i,x,xiy->ixy", self.pi, self.p_x.pmf,
-                                 self.channel.table))
+        return _frozen(triplet_law(self.pi, self.p_x.pmf, self.channel))
 
     @cached_property
     def decode_target2(self) -> np.ndarray:
@@ -191,12 +191,13 @@ def assemble_inner(c: InnerCandidate) -> JointDist:
     The Y'-coordinate carries the equilibrium distribution of the output
     chain induced by p_x through the channel.
     """
-    pmf = np.einsum(
-        "u,x,uxw,i,xiy,yxwv->uxwiyv",
-        c.p_u.pmf, c.p_x.pmf, c.p_w_given_ux.table, c.equilibrium.pmf,
-        c.channel.table, c.p_v_given_yxw.table,
-    )
-    return JointDist(pmf)
+    return JointDist(_inner_joint(c.p_u.pmf, c.p_x.pmf, c.p_w_given_ux.table,
+                                  c.equilibrium.pmf, c.channel.table, c.p_v_given_yxw.table))
+
+
+def _inner_joint(p_u, p_x, pw, pi, channel, pv) -> np.ndarray:
+    """P(u) P(x) P(w|u,x) pi(y') channel(y|x,y') P(v|y,x,w) over (U, X, W, Y', Y, V)."""
+    return np.einsum("u,x,uxw,i,xiy,yxwv->uxwiyv", p_u, p_x, pw, pi, channel, pv)
 
 
 def assemble_outer(c: OuterCandidate) -> JointDist:
@@ -270,8 +271,10 @@ def _conditional(table: np.ndarray) -> np.ndarray:
     return np.where(mass > 0, table / np.maximum(mass, 1e-300), 1.0 / table.shape[-1])
 
 
-def _decompose_channel_marginal(p_xyy: np.ndarray, tol: float) -> Tuple[Dist, Dist, Kernel, List[str]]:
-    """Split a (X, Y', Y) table into p_x, pi, channel; collect violations."""
+def _decompose_channel_marginal(p_xyy: np.ndarray, tol: float) -> Tuple[Dist, Dist, Kernel]:
+    """Split a (X, Y', Y) table into p_x, pi, channel; raise InconsistentTarget
+    listing every cell where X and Y' are dependent or Y' is off the
+    equilibrium of the induced chain.  Nothing is silently repaired."""
     details: List[str] = []
     p_x = p_xyy.sum(axis=(1, 2))
     p_yp = p_xyy.sum(axis=(0, 2))
@@ -286,29 +289,28 @@ def _decompose_channel_marginal(p_xyy: np.ndarray, tol: float) -> Tuple[Dist, Di
         pi = stationary_dist(induced_transition(px_dist, channel))
     except AssumptionViolated:
         details.append("induced output chain is not unichain-aperiodic")
-        return px_dist, Dist(p_yp / p_yp.sum()), channel, details
-    pi_gap = np.abs(p_yp - pi.pmf)
-    for i in np.argwhere(pi_gap > tol).ravel():
-        details.append(f"Y' marginal is not the equilibrium at state {i}: "
-                       f"{p_yp[i]:.6g} vs {pi.pmf[i]:.6g}")
-    return px_dist, pi, channel, details
+    else:
+        pi_gap = np.abs(p_yp - pi.pmf)
+        for i in np.argwhere(pi_gap > tol).ravel():
+            details.append(f"Y' marginal is not the equilibrium at state {i}: "
+                           f"{p_yp[i]:.6g} vs {pi.pmf[i]:.6g}")
+    if details:
+        raise InconsistentTarget(
+            f"target violates the channel structure in {len(details)} place(s)", details)
+    return px_dist, pi, channel
 
 
 def validate_target(target: JointDist, tol: float = TARGET_TOL) -> TargetDecomposition:
     """Check a target (U, X, Y', Y, V) for the structure every candidate induces.
 
     The (X, Y', Y) marginal must factor as p_x x pi x channel with pi the
-    equilibrium of the induced chain.  Violations raise InconsistentTarget
-    listing the offending cells; nothing is silently repaired.
+    equilibrium of the induced chain (see _decompose_channel_marginal).
     """
     if target.arity != 5:
         raise ValueError("target must have coordinates (U, X, Y', Y, V)")
     p_u = Dist(target.pmf.sum(axis=(1, 2, 3, 4)))
     p_xyy = target.marginal(_on_target((AX_X, AX_YP, AX_Y))).pmf
-    p_x, pi, channel, details = _decompose_channel_marginal(p_xyy, tol)
-    if details:
-        raise InconsistentTarget(
-            f"target violates the channel structure in {len(details)} place(s)", details)
+    p_x, pi, channel = _decompose_channel_marginal(p_xyy, tol)
     return TargetDecomposition(p_u=p_u, p_x=p_x, channel=channel, pi=pi)
 
 
@@ -326,18 +328,14 @@ def separation_slack(p_uv: JointDist, p_xyy: JointDist) -> float:
     """
     if p_uv.arity != 2 or p_xyy.arity != 3:
         raise ValueError("need (U, V) and (X, Y', Y) joints")
-    _, _, _, details = _decompose_channel_marginal(p_xyy.pmf, TARGET_TOL)
-    if details:
-        raise InconsistentTarget("channel-side joint violates structure", details)
+    _decompose_channel_marginal(p_xyy.pmf, TARGET_TOL)
     i_channel = cond_mutual_info(p_xyy.permuted([0, 2, 1]))  # (X, Y, Y')
     return i_channel - mutual_info(p_uv)
 
 
 def witness_w_equals_u(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
     """Inner candidate with W = U and the decoder kernel reproducing P(v|u)."""
-    p_x, pi, channel, details = _decompose_channel_marginal(p_xyy.pmf, TARGET_TOL)
-    if details:
-        raise InconsistentTarget("channel-side joint violates structure", details)
+    p_x, _, channel = _decompose_channel_marginal(p_xyy.pmf, TARGET_TOL)
     nu, nv = p_uv.pmf.shape
     nx, ny = p_x.size, channel.output_size
     p_u = Dist(p_uv.pmf.sum(axis=1))
@@ -359,9 +357,7 @@ def witness_w_copies_v(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
     product target admits, so its feasibility matches the sign of
     separation_slack exactly.
     """
-    p_x, pi, channel, details = _decompose_channel_marginal(p_xyy.pmf, TARGET_TOL)
-    if details:
-        raise InconsistentTarget("channel-side joint violates structure", details)
+    p_x, _, channel = _decompose_channel_marginal(p_xyy.pmf, TARGET_TOL)
     nu, nv = p_uv.pmf.shape
     nx, ny = p_x.size, channel.output_size
     p_u = Dist(p_uv.pmf.sum(axis=1))
@@ -379,21 +375,14 @@ def witness_w_copies_v(p_uv: JointDist, p_xyy: JointDist) -> InnerCandidate:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_tables(decomp: TargetDecomposition, pw: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    return np.einsum(
-        "u,x,uxw,i,xiy,yxwv->uxwiyv",
-        decomp.p_u.pmf, decomp.p_x.pmf, pw, decomp.pi.pmf,
-        decomp.channel.table, pv,
-    )
-
-
 def _slack_of(decomp: TargetDecomposition, i_channel: float, pw: np.ndarray) -> float:
     p_uwx = np.einsum("u,x,uxw->uwx", decomp.p_u.pmf, decomp.p_x.pmf, pw)
     return i_channel - cond_mutual_info(JointDist(p_uwx))
 
 
 def _score(decomp, target_pmf, i_channel, pw, pv) -> Tuple[float, float, float]:
-    joint = _assemble_tables(decomp, pw, pv)
+    joint = _inner_joint(decomp.p_u.pmf, decomp.p_x.pmf, pw, decomp.pi.pmf,
+                         decomp.channel.table, pv)
     gap = float(np.abs(joint.sum(axis=2) - target_pmf).sum())
     slack = _slack_of(decomp, i_channel, pw)
     score = slack - _GAP_PENALTY * max(gap - MARGINAL_GAP_TOL, 0.0)
@@ -515,12 +504,7 @@ def optimize_auxiliary(target: JointDist, w_size: Optional[int] = None,
 
 def _coordinate_search(decomp, target_pmf, i_channel, pw, pv, budget):
     pw = pw.copy()
-    pv = pv.copy()
-    pv_refit = _refit_decoder_kernel(decomp, target_pmf, pw, pv.shape[3])
-    if _score(decomp, target_pmf, i_channel, pw, pv_refit)[0] > \
-            _score(decomp, target_pmf, i_channel, pw, pv)[0]:
-        pv = pv_refit
-    score, _, _ = _score(decomp, target_pmf, i_channel, pw, pv)
+    score, pv = _refit_or_keep(decomp, target_pmf, i_channel, pw, pv.copy())
     nu, nx, nw = pw.shape
     ny = pv.shape[0]
     nv = pv.shape[3]
@@ -558,15 +542,21 @@ def _coordinate_search(decomp, target_pmf, i_channel, pw, pv, budget):
     return pw, pv
 
 
-def _try_pw(decomp, target_pmf, i_channel, pw, pv, u, x, row):
-    trial = pw.copy()
-    trial[u, x] = row
-    pv_refit = _refit_decoder_kernel(decomp, target_pmf, trial, pv.shape[3])
-    s_refit = _score(decomp, target_pmf, i_channel, trial, pv_refit)[0]
-    s_keep = _score(decomp, target_pmf, i_channel, trial, pv)[0]
+def _refit_or_keep(decomp, target_pmf, i_channel, pw, pv):
+    """(score, decoder kernel) of the better of pv and its least-squares
+    refit for pw; pv is kept on a tie."""
+    pv_refit = _refit_decoder_kernel(decomp, target_pmf, pw, pv.shape[3])
+    s_refit = _score(decomp, target_pmf, i_channel, pw, pv_refit)[0]
+    s_keep = _score(decomp, target_pmf, i_channel, pw, pv)[0]
     if s_refit > s_keep:
         return s_refit, pv_refit
     return s_keep, pv
+
+
+def _try_pw(decomp, target_pmf, i_channel, pw, pv, u, x, row):
+    trial = pw.copy()
+    trial[u, x] = row
+    return _refit_or_keep(decomp, target_pmf, i_channel, trial, pv)
 
 
 def _try_pv(decomp, target_pmf, i_channel, pw, pv, y, x, w_idx, row):

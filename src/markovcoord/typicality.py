@@ -22,6 +22,7 @@ from .probability import (
     entropy_table,
     induced_transition,
     stationary_dist,
+    triplet_law,
 )
 from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
 
@@ -162,8 +163,7 @@ def conditional_gap(x_seq, y_seq, y0: int, pi: Dist, w: Kernel) -> float:
 
 def _conditional_gap(t: TripletType, pi: Dist, w: Kernel) -> float:
     qx = t.counts.sum(axis=(0, 2)) / t.n
-    ref = np.einsum("i,x,xij->ixj", pi.pmf, qx, w.table)
-    return float(np.abs(t.normalized - ref).sum())
+    return float(np.abs(t.normalized - triplet_law(pi.pmf, qx, w)).sum())
 
 
 def sequence_log_prob(x_seq, y_seq, y0: int, px: Dist, w: Kernel) -> float:
@@ -172,10 +172,21 @@ def sequence_log_prob(x_seq, y_seq, y0: int, px: Dist, w: Kernel) -> float:
     Returns -inf when the path crosses a zero-probability factor.
     """
     x_seq, y_seq = _check_pair(x_seq, y_seq, y0, px.size, w.output_size)
-    probs = px.pmf[x_seq] * w.table[x_seq, kernels.prev_states(y_seq, y0), y_seq]
-    if np.any(probs <= 0.0):
-        return float("-inf")
-    return float(np.log2(probs).sum())
+    return float(_path_log2(x_seq, y_seq, y0, px, w))
+
+
+def _path_log2(x, y, y0: int, px: Dist, w: Kernel) -> np.ndarray:
+    """log2 P(x, y) of the paths along the last axis; -inf across a zero factor."""
+    with np.errstate(divide="ignore"):  # a zero factor gives log2 = -inf
+        return np.log2(px.pmf[x] * w.table[x, kernels.prev_states(y, y0), y]).sum(axis=-1)
+
+
+def sample_pairs(keys, n: int, px: Dist, w: Kernel, y0: int):
+    """(x, y), each (len(keys), n): per key k, x is drawn from px on the
+    words of derive_key(k, 0) and y is the channel path from y0 on the words
+    of derive_key(k, 1).  A single key gives one row."""
+    x = draw(uniform_grid(derive_keys(keys, 0), n), thresholds(px.pmf))
+    return x, kernels.markov_path(x, y0, w.thresholds, uniform_grid(derive_keys(keys, 1), n))
 
 
 def prop1_gaps(x_seq, y_seq, y0: int, px: Dist, w: Kernel,
@@ -190,11 +201,10 @@ def prop1_gaps(x_seq, y_seq, y0: int, px: Dist, w: Kernel,
         pi = stationary_dist(induced_transition(px, w))
     nx, ny = px.size, w.output_size
     t = triplet_type(x_seq, y_seq, y0, nx, ny)
-    q = np.einsum("i,x,xij->ixj", pi.pmf, px.pmf, w.table)
-    joint = float(np.abs(t.normalized - q).sum())
+    joint = float(np.abs(t.normalized - triplet_law(pi.pmf, px.pmf, w)).sum())
     x_marg, pair_marg = project_type(t)
     x_gap = float(np.abs(x_marg - px.pmf).sum())
-    t_matrix = np.einsum("x,xij->ij", px.pmf, w.table)
+    t_matrix = induced_transition(px, w).table
     pair_gap = float(np.abs(pair_marg - pi.pmf[:, None] * t_matrix).sum())
     cond = _conditional_gap(t, pi, w)
     return {"joint": joint, "x": x_gap, "pair": pair_gap, "conditional": cond}
@@ -273,27 +283,30 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
     audit switches to seeded sampling from the generation law ("auto") or
     raises EnumerationTooLarge (mode="exact").  delta defaults to
     eps (L_X + L_W) + boundary, the smallest value the deviation bound
-    guarantees; smaller requests are rejected.  stationary_dist raises
-    AssumptionViolated unless the output chain is unichain and aperiodic.
+    guarantees; smaller or non-finite requests are rejected, as is a
+    non-finite eps.  stationary_dist raises AssumptionViolated unless the
+    output chain is unichain and aperiodic.
     """
     if mode not in ("auto", "exact", "sample"):
         raise ValueError(f"unknown audit mode {mode!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be > 0 and finite, got {eps}")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     nx, ny = px.size, w.output_size
     if not 0 <= y0 < ny:
         raise ValueError("y0 out of range")
     pi = stationary_dist(induced_transition(px, w))
-    q = np.einsum("i,x,xij->ixj", pi.pmf, px.pmf, w.table)
+    q = triplet_law(pi.pmf, px.pmf, w)
     h_rate = entropy_table(q) - entropy_table(pi.pmf)
     consts = aep_constants(px, w, n, y0_known=True)
     min_delta = eps * (consts.l_x + consts.l_w) + consts.boundary
     if delta is None:
         delta = min_delta
+    elif not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     elif delta < min_delta - 1e-12:
         raise ValueError(f"delta={delta} is below the guaranteed bound {min_delta}")
 
@@ -323,25 +336,18 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
         )
         mode_used = "exact"
     else:
-        x_thr = thresholds(px.pmf)
         trial_root = derive_key(seed, 5001)
         chunk = max(1, AUDIT_CHUNK_SYMBOLS // n)
         typical = 0
         nll_min, nll_max = np.inf, -np.inf
         for lo in range(0, sample_size, chunk):
-            # trial t draws x from derive_key(derive_key(seed, 5001, t), 0)
-            # and the channel from the same key folded with 1
+            # trial t is the pair of key derive_key(seed, 5001, t)
             keys = derive_keys(trial_root, np.arange(lo, min(lo + chunk, sample_size)))
-            x = draw(uniform_grid(derive_keys(keys, 0), n), x_thr)
-            y = kernels.markov_path(x, y0, w.thresholds,
-                                    uniform_grid(derive_keys(keys, 1), n))
+            x, y = sample_pairs(keys, n, px, w, y0)
             hit = kernels.l1_gaps(kernels.triplet_counts(x, y, y0, nx, ny), n, q_flat) <= eps
             if hit.any():
                 typical += int(hit.sum())
-                x, y, yprev = x[hit], y[hit], kernels.prev_states(y[hit], y0)
-                with np.errstate(divide="ignore"):  # a zero factor gives log2 = -inf
-                    logp = np.log2(px.pmf[x] * w.table[x, yprev, y]).sum(axis=1)
-                nll = -logp / n
+                nll = -_path_log2(x[hit], y[hit], y0, px, w) / n
                 nll_min = min(nll_min, float(nll.min()))
                 nll_max = max(nll_max, float(nll.max()))
         pairs_checked = sample_size

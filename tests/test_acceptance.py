@@ -80,7 +80,7 @@ def test_criterion_01_stationarity():
         s = chain_structure(t)
         assert s.is_unichain and s.is_aperiodic
         pi = stationary_dist(t)
-        worst_fixed = max(worst_fixed, float(np.abs(pi.pmf @ t.entries - pi.pmf).sum()))
+        worst_fixed = max(worst_fixed, float(np.abs(pi.pmf @ t.table - pi.pmf).sum()))
         rhs = np.einsum("i,x,xij->j", pi.pmf, px.pmf, w.table)
         worst_eq6 = max(worst_eq6, float(np.abs(rhs - pi.pmf).max()))
     ok = worst_fixed <= 1e-10 and worst_eq6 <= 1e-10

@@ -83,6 +83,44 @@ def test_scheme_config_rejects_what_the_harness_rejects(cand, field, value):
         SchemeConfig(**args)
 
 
+_ENTRY_CALLS = {
+    "packing": lambda cand, **kw: joint_packing_event(
+        cand, **{"n": 100, "rate": 0.03, "eps": 0.3, "y0": 0, "seed": 5, **kw}),
+    "encode": lambda cand, eps: encode_block(
+        np.zeros(60, dtype=np.int64), 0, Codebook(cand, 60, 0.05, seed=1), eps),
+    "decode": lambda cand, eps: decode_block(
+        np.zeros(60, dtype=np.int64), np.zeros(60, dtype=np.int64), 0,
+        Codebook(cand, 60, 0.05, seed=1), eps, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("entry,args,match", [
+    ("packing", dict(rate=0.0, eps=math.nan, y0=-3), "^eps must be"),  # one codeword
+    ("packing", dict(rate=0.0, y0=-3), r"^y0=-3 outside \[0, 2\)"),
+    ("packing", dict(n=0), "^n must be >= 1"),
+    ("packing", dict(eps=math.nan), "^eps must be"),
+    ("packing", dict(eps=-1.0), "^eps must be"),
+    ("packing", dict(eps=0.0), "^eps must be"),
+    ("packing", dict(rate=math.nan), "^rate must be"),
+    ("packing", dict(rate=math.inf), "^rate must be"),
+    ("packing", dict(rate=-0.1), "^rate must be"),
+    ("encode", dict(eps=math.nan), "^eps must be"),
+    ("encode", dict(eps=-1.0), "^eps must be"),
+    ("encode", dict(eps=math.inf), "^eps must be"),
+    ("decode", dict(eps=math.nan), "^eps must be"),
+    ("decode", dict(eps=0.0), "^eps must be"),
+    ("decode", dict(eps=math.inf), "^eps must be"),
+], ids=["packing-one-codeword-eps-nan", "packing-one-codeword-y0", "packing-n-zero",
+        "packing-eps-nan", "packing-eps-negative", "packing-eps-zero", "packing-rate-nan",
+        "packing-rate-inf", "packing-rate-negative", "encode-eps-nan", "encode-eps-negative",
+        "encode-eps-inf", "decode-eps-nan", "decode-eps-zero", "decode-eps-inf"])
+def test_library_entry_points_check_what_scheme_config_checks(cand, entry, args, match):
+    # without the checks a nan radius silently fails every covering or
+    # decode, and a packing trial at one codeword returns before any check
+    with pytest.raises(ValueError, match=match):
+        _ENTRY_CALLS[entry](cand, **args)
+
+
 def test_codebook_determinism_and_lazy_equivalence(cand):
     # any index subset, on any codebook built from the same seed, gives the
     # same rows as the full tables
@@ -261,7 +299,8 @@ def test_encode_block_matches_full_table_smallest_hit(cand):
 
 def test_encode_block_chunks_tile_the_scan(cand):
     # a scan without a hit reads 8 rows, then doubles up to 512 rows per
-    # chunk, covering [0, limit) with no gap or overlap
+    # chunk, covering [0, limit) with no gap or overlap; an all-zero source
+    # misses the u = 1 half of the covering target, so every gap is >= 1
     cb = Codebook(cand, 60, 0.2, seed=1)  # 4096 codewords
     spans = []
     w_rows = cb.w_rows
@@ -276,7 +315,7 @@ def test_encode_block_chunks_tile_the_scan(cand):
     for limit, ends in ((1, [1]), (24, [8, 24]),
                         (2000, [8, 24, 56, 120, 248, 504, 1016, 1528, 2000])):
         spans.clear()
-        assert encode_block(u, 0, cb, -1.0, limit) is None
+        assert encode_block(u, 0, cb, 0.5, limit) is None
         assert spans == list(zip([0] + ends[:-1], ends))
 
 

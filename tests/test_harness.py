@@ -250,6 +250,20 @@ def test_summary_json_is_strict(tmp_path):
     assert set(stats.values()) == {None}
 
 
+def test_summary_of_a_point_without_typical_pairs(tmp_path):
+    # no typical pair: nll_min = inf and nll_max = -inf, whose quantiles
+    # compute inf - inf; the aggregates are written as null, with no warning
+    raw = default_config("aep-audit")
+    raw["sweep"] = {"n": [10], "eps": [0.05]}
+    rs = run_experiment(config_from_dict(raw))
+    m = rs.rows[0]["metrics"]
+    assert m["typical_count"] == 0 and m["nll_min"] == np.inf and m["nll_max"] == -np.inf
+    paths = emit_report(rs, str(tmp_path))
+    with open(paths["summary"]) as fh:
+        stats = json.load(fh)["points"][0]["metrics"]
+    assert set(stats["nll_min"].values()) == set(stats["nll_max"].values()) == {None}
+
+
 def test_packing_probe_single_codeword_never_fires():
     raw = default_config("packing-probe")
     raw["sweep"] = {"n": [100], "rate": [0.0], "eps": [0.3]}

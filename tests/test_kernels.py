@@ -255,6 +255,36 @@ def test_count_tables_have_one_layer():
     assert not stray
 
 
+def _einsum_form(spec):
+    """An einsum subscript with its letters renamed a, b, ... in order of first appearance."""
+    names = {}
+    return "".join(names.setdefault(c, chr(ord("a") + len(names))) if c.isalpha() else c
+                   for c in spec)
+
+
+# einsum forms allowed at more than one site -> the (module, function) sites
+_EINSUM_REPEATS = {
+    # the kernel average sum_a p(a) k(c | a, b) of two different paper objects:
+    # the output chain (input law over the channel) and P(w | x) (source law
+    # over the auxiliary kernel)
+    "a,abc->bc": {("probability.py", "induced_transition"), ("region.py", "p_w_given_x")},
+}
+
+
+def test_each_einsum_form_has_one_site():
+    # a formula written as an einsum (the triplet law, the inner joint, ...)
+    # has one definition in the package; a second copy fails here
+    sites = {}
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for fn, node in _nodes_by_function(ast.parse(path.read_text())):
+            if _is_call(node, "einsum"):
+                form = _einsum_form(ast.literal_eval(node.args[0]))
+                sites.setdefault(form, []).append((path.name, fn, node.lineno))
+    repeated = {form: where for form, where in sites.items() if len(where) > 1
+                and {w[:2] for w in where} != _EINSUM_REPEATS.get(form)}
+    assert not repeated
+
+
 def test_aep_enumerate_matches_pair_scan(monkeypatch):
     rng = np.random.default_rng(3)
     n, nx, ny, eps = 5, 2, 2, 0.8

@@ -11,7 +11,6 @@ from markovcoord.probability import (
     Dist,
     JointDist,
     Kernel,
-    TransitionMatrix,
     chain_structure,
     cond_mutual_info,
     entropy,
@@ -20,6 +19,7 @@ from markovcoord.probability import (
     lifted_transition,
     mutual_info,
     stationary_dist,
+    triplet_law,
     tv_distance,
 )
 
@@ -28,8 +28,18 @@ def test_empty_axes_rejected():
     for shape in [(2, 0, 2), (0, 2), (0, 0)]:
         with pytest.raises(ValueError, match="empty conditioning axis"):
             Kernel(np.zeros(shape))
-    with pytest.raises(ValueError, match="no states"):
-        TransitionMatrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("table", [
+    np.full((2, 2, 2), 0.5),                       # a channel kernel [x, y', y]
+    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),  # a (2, 3) table
+], ids=["channel-3d", "not-square"])
+def test_chains_are_square_kernels(table):
+    shape = rf"got shape \({', '.join(map(str, table.shape))}\)"
+    with pytest.raises(ValueError, match=shape):
+        chain_structure(Kernel(table))
+    with pytest.raises(ValueError, match=shape):
+        stationary_dist(Kernel(table))
 
 
 def test_dist_validation():
@@ -132,7 +142,7 @@ def test_induced_transition_examples():
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
     w = Kernel(np.broadcast_to(rows[None, :, :], (2, ny, ny)).copy())
     t = induced_transition(Dist(np.array([0.4, 0.6])), w)
-    assert np.allclose(t.entries, rows, atol=1e-12)
+    assert np.allclose(t.table, rows, atol=1e-12)
 
     # deterministic y = x xor y', uniform x: every entry 0.5
     table = np.zeros((2, 2, 2))
@@ -140,31 +150,31 @@ def test_induced_transition_examples():
         for i in range(2):
             table[x, i, x ^ i] = 1.0
     t = induced_transition(Dist(np.array([0.5, 0.5])), Kernel(table))
-    assert np.allclose(t.entries, 0.5, atol=1e-12)
+    assert np.allclose(t.table, 0.5, atol=1e-12)
 
     # degenerate input px = (1, 0) picks the x = 0 slice
     w = Kernel(np.stack([np.array([[0.2, 0.8], [0.9, 0.1]]),
                          np.array([[0.5, 0.5], [0.5, 0.5]])]))
     t = induced_transition(Dist(np.array([1.0, 0.0])), w)
-    assert np.allclose(t.entries, w.table[0], atol=1e-12)
+    assert np.allclose(t.table, w.table[0], atol=1e-12)
 
 
 def test_chain_structure_examples():
-    s = chain_structure(TransitionMatrix(np.eye(2)))
+    s = chain_structure(Kernel(np.eye(2)))
     assert len(s.recurrent_classes) == 2 and not s.is_unichain
 
-    s = chain_structure(TransitionMatrix(np.full((3, 3), 1.0 / 3)))
+    s = chain_structure(Kernel(np.full((3, 3), 1.0 / 3)))
     assert s.is_unichain and s.is_aperiodic
     assert s.recurrent_classes == (frozenset({0, 1, 2}),)
 
-    swap = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = Kernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     s = chain_structure(swap)
     assert s.is_unichain and not s.is_aperiodic
 
 
 def test_chain_structure_transient_states():
     # state 0 leaks into the closed class {1, 2}
-    t = TransitionMatrix(np.array([
+    t = Kernel(np.array([
         [0.5, 0.5, 0.0],
         [0.0, 0.3, 0.7],
         [0.0, 0.6, 0.4],
@@ -217,7 +227,7 @@ _CHAIN_CASES = (
 @pytest.mark.parametrize("pattern,expected", [c[1:] for c in _CHAIN_CASES],
                          ids=[c[0] for c in _CHAIN_CASES])
 def test_chain_structure_fixed_patterns(pattern, expected):
-    s = chain_structure(TransitionMatrix(pattern / pattern.sum(axis=1, keepdims=True)))
+    s = chain_structure(Kernel(pattern / pattern.sum(axis=1, keepdims=True)))
     assert (s.recurrent_classes, s.is_unichain, s.is_aperiodic) == expected
     assert chain_structure_direct(pattern) == expected
 
@@ -235,47 +245,47 @@ def _support_patterns(draw):
 @given(_support_patterns())
 @settings(max_examples=300, deadline=None)
 def test_chain_structure_matches_definition(pattern):
-    s = chain_structure(TransitionMatrix(pattern / pattern.sum(axis=1, keepdims=True)))
+    s = chain_structure(Kernel(pattern / pattern.sum(axis=1, keepdims=True)))
     assert (s.recurrent_classes, s.is_unichain, s.is_aperiodic) == \
         chain_structure_direct(pattern)
 
 
 def test_stationary_examples():
-    t = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    t = Kernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
     pi = stationary_dist(t)
     assert np.allclose(pi.pmf, [2 / 3, 1 / 3], atol=1e-10)
 
     # doubly stochastic, strictly positive: uniform
     ds = np.array([[0.2, 0.5, 0.3], [0.5, 0.2, 0.3], [0.3, 0.3, 0.4]])
-    assert np.allclose(stationary_dist(TransitionMatrix(ds)).pmf, 1 / 3, atol=1e-10)
+    assert np.allclose(stationary_dist(Kernel(ds)).pmf, 1 / 3, atol=1e-10)
 
     # rank one: every row p implies pi = p
     p = np.array([0.1, 0.6, 0.3])
-    t = TransitionMatrix(np.tile(p, (3, 1)))
+    t = Kernel(np.tile(p, (3, 1)))
     assert np.allclose(stationary_dist(t).pmf, p, atol=1e-12)
 
     # valid but slowly mixing (spectral gap 3e-6): the equilibrium is exact
     a = 1e-6
-    t = TransitionMatrix(np.array([[1 - a, a], [2 * a, 1 - 2 * a]]))
+    t = Kernel(np.array([[1 - a, a], [2 * a, 1 - 2 * a]]))
     assert np.allclose(stationary_dist(t).pmf, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_stationary_requires_assumption():
     with pytest.raises(AssumptionViolated):
-        stationary_dist(TransitionMatrix(np.eye(2)))
+        stationary_dist(Kernel(np.eye(2)))
     with pytest.raises(AssumptionViolated):
-        stationary_dist(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        stationary_dist(Kernel(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def test_stationary_supported_on_recurrent_class():
-    t = TransitionMatrix(np.array([
+    t = Kernel(np.array([
         [0.5, 0.5, 0.0],
         [0.0, 0.3, 0.7],
         [0.0, 0.6, 0.4],
     ]))
     pi = stationary_dist(t)
     assert pi.pmf[0] == 0.0
-    assert np.abs(pi.pmf @ t.entries - pi.pmf).sum() <= 1e-12
+    assert np.abs(pi.pmf @ t.table - pi.pmf).sum() <= 1e-12
 
 
 def test_equilibrium_identity_random_instances():
@@ -303,7 +313,7 @@ def test_lifted_transition_structural_zeros():
                         continue
                     for xp in range(nx):
                         for k in range(ny):
-                            assert lift.entries[src, lifted_index(jp, xp, k, nx, ny)] == 0.0
+                            assert lift.table[src, lifted_index(jp, xp, k, nx, ny)] == 0.0
 
 
 def test_lifted_stationary_equals_product():
@@ -314,6 +324,7 @@ def test_lifted_stationary_equals_product():
         pi = stationary_dist(induced_transition(px, w))
         lifted_pi = stationary_dist(lifted_transition(px, w))
         product = np.einsum("i,x,xij->ixj", pi.pmf, px.pmf, w.table)
+        assert np.array_equal(triplet_law(pi.pmf, px.pmf, w), product)
         assert np.abs(lifted_pi.pmf.reshape(ny, nx, ny) - product).sum() <= 1e-10
 
 

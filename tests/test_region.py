@@ -13,6 +13,7 @@ from markovcoord.probability import (
     cond_mutual_info,
     induced_transition,
     stationary_dist,
+    triplet_law,
 )
 from markovcoord.region import (
     InconsistentTarget,
@@ -200,6 +201,12 @@ def test_assembled_joint_structure():
     assert np.abs(cond - cand.p_w_given_ux.table).max() <= 1e-12
 
 
+def test_decoder_target_is_the_triplet_law():
+    cand = make_flip_candidate(0.2, 0.3, 0.1, 0.35, 0.15)
+    assert np.array_equal(cand.decode_target1,
+                          triplet_law(cand.pi, cand.p_x.pmf, cand.channel))
+
+
 def test_slack_invariant_under_w_relabeling():
     cand = make_flip_candidate(0.2, 0.3, 0.1, 0.35, 0.15)
     target = assemble_inner(cand).marginal([0, 1, 3, 4, 5])
@@ -236,6 +243,24 @@ def test_validate_target_reports_offending_cells():
     with pytest.raises(InconsistentTarget) as exc:
         validate_target(JointDist(pmf))
     assert exc.value.details  # names the violated cells
+
+
+def test_channel_side_entry_points_share_one_check():
+    cand = make_flip_candidate(0.22, 0.31, 0.08, 0.2, 0.12)
+    pmf = assemble_inner(cand).marginal([0, 1, 3, 4, 5]).pmf.copy()
+    pmf[:, :, 0, :, :] *= 1.25
+    pmf /= pmf.sum()
+    target = JointDist(pmf)
+    p_uv, p_xyy = target.marginal([0, 4]), target.marginal([1, 2, 3])
+    message = r"^target violates the channel structure in \d+ place\(s\)$"
+    raised = []
+    for check in (lambda: validate_target(target), lambda: separation_slack(p_uv, p_xyy),
+                  lambda: witness_w_equals_u(p_uv, p_xyy),
+                  lambda: witness_w_copies_v(p_uv, p_xyy)):
+        with pytest.raises(InconsistentTarget, match=message) as exc:
+            check()
+        raised.append((str(exc.value), exc.value.details))
+    assert raised[0][1] and all(r == raised[0] for r in raised)  # one message, same cells
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from markovcoord.typicality import (
     full_type,
     project_type,
     prop1_gaps,
+    sample_pairs,
     sequence_log_prob,
     triplet_type,
     type_gap,
@@ -37,6 +39,21 @@ def _sample_pair(px, w, n, y0, seed):
     x = draw(s_x, thresholds(px.pmf))
     y = kernels.markov_path(x, y0, w.thresholds, s_chan)
     return x, y
+
+
+def test_sample_pairs_rows_are_the_per_key_streams():
+    rng = np.random.default_rng(12)
+    px, w = random_channel_instance(rng, 3, 2)
+    n, y0 = 40, 1
+    keys = derive_keys(derive_key(5, 5001), np.arange(6))
+    x, y = sample_pairs(keys, n, px, w, y0)
+    assert x.shape == y.shape == (6, n)
+    for k, x_row, y_row in zip(keys, x, y):
+        x_k = draw(uniform_grid(derive_key(int(k), 0), n)[0], thresholds(px.pmf))
+        y_k = kernels.markov_path(x_k, y0, w.thresholds, uniform_grid(derive_key(int(k), 1), n)[0])
+        assert np.array_equal(x_row, x_k) and np.array_equal(y_row, y_k)
+    (x1,), (y1,) = sample_pairs(int(keys[3]), n, px, w, y0)  # a scalar key: one row
+    assert np.array_equal(x1, x[3]) and np.array_equal(y1, y[3])
 
 
 def test_triplet_type_examples():
@@ -172,9 +189,14 @@ _W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
     (lambda: aep_audit(6, -0.1, _PX, _W), "^eps must be > 0"),
     (lambda: aep_audit(16, 0.24, _PX, _W, mode="sample", sample_size=0),
      "^sample_size must be >= 1"),
+    (lambda: aep_audit(8, math.inf, _PX, _W), "^eps must be > 0 and finite"),
+    (lambda: aep_audit(8, math.nan, _PX, _W), "^eps must be > 0 and finite"),
+    (lambda: aep_audit(8, 1.0, _PX, _W, delta=math.inf), "^delta must be finite"),
+    (lambda: aep_audit(8, 1.0, _PX, _W, delta=math.nan), "^delta must be finite"),
 ], ids=["logp-short-x", "logp-y0-neg", "logp-y0-high", "exact-y0-high", "exact-y0-neg",
         "sampled-y0-high", "sampled-y0-neg", "audit-n-zero", "audit-eps-negative",
-        "audit-sample-size-zero"])
+        "audit-sample-size-zero", "audit-eps-inf", "audit-eps-nan", "audit-delta-inf",
+        "audit-delta-nan"])
 def test_bad_sequence_inputs_are_named_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
