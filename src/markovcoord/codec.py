@@ -84,9 +84,7 @@ def _check_code(candidate: InnerCandidate, n: int, rate: float, eps: float, y0: 
     _check_eps(eps)
     if not 0 <= rate < math.inf:
         raise ValueError("rate must be finite and >= 0")
-    ny = candidate.channel.output_size
-    if not 0 <= y0 < ny:
-        raise ValueError(f"y0={y0} outside [0, {ny})")
+    kernels.check_state(y0, candidate.channel.output_size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,14 @@ AEP_PASS_CELLS = 1 << 20  # count-table cells per enumeration pass; bounds its t
 PLANE_PASS_BYTES = 1 << 22  # plane AND temporaries per counting pass
 
 
+def check_state(y0, ny: int) -> None:
+    """Raise a ValueError naming y0 unless it is an integer state in [0, ny)."""
+    if not isinstance(y0, (int, np.integer)):
+        raise ValueError(f"y0={y0!r} is not an integer state")
+    if not 0 <= y0 < ny:
+        raise ValueError(f"y0={y0} outside [0, {ny})")
+
+
 def markov_path(x_seq: np.ndarray, y0: int, thr_rows: np.ndarray,
                 s: np.ndarray) -> np.ndarray:
     """Sample a channel output path for input x_seq from initial state y0.
@@ -53,8 +61,7 @@ def markov_path(x_seq: np.ndarray, y0: int, thr_rows: np.ndarray,
     x_seq = np.asarray(x_seq, dtype=np.int64)
     n = x_seq.shape[-1]
     ny = thr_rows.shape[1] + 1
-    if not 0 <= y0 < ny:
-        raise ValueError(f"y0={y0} outside [0, {ny})")
+    check_state(y0, ny)
     s = np.reshape(s, x_seq.shape)
     tables = thr_rows.reshape(thr_rows.shape[0] // ny, ny, ny - 1)
     y = np.empty(x_seq.shape, dtype=np.int64)

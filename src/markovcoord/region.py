@@ -380,19 +380,13 @@ def _slack_of(decomp: TargetDecomposition, i_channel: float, pw: np.ndarray) -> 
     return i_channel - cond_mutual_info(JointDist(p_uwx))
 
 
-def _score(decomp, target_pmf, i_channel, pw, pv) -> Tuple[float, float, float]:
+def _state(decomp, target_pmf, pw, pv, slack) -> Tuple[float, float, np.ndarray]:
+    """Search state (score, slack, pv) of (pw, pv), given pw's slack: the
+    slack less a penalty on the marginal gap past MARGINAL_GAP_TOL."""
     joint = _inner_joint(decomp.p_u.pmf, decomp.p_x.pmf, pw, decomp.pi.pmf,
                          decomp.channel.table, pv)
     gap = float(np.abs(joint.sum(axis=2) - target_pmf).sum())
-    slack = _slack_of(decomp, i_channel, pw)
-    score = slack - _GAP_PENALTY * max(gap - MARGINAL_GAP_TOL, 0.0)
-    return score, slack, gap
-
-
-def _project_row(row: np.ndarray) -> np.ndarray:
-    row = np.clip(row, 0.0, None)
-    s = row.sum()
-    return row / s if s > 0 else np.full_like(row, 1.0 / row.size)
+    return slack - _GAP_PENALTY * max(gap - MARGINAL_GAP_TOL, 0.0), slack, pv
 
 
 def _refit_decoder_kernel(decomp: TargetDecomposition, target_pmf: np.ndarray,
@@ -407,15 +401,16 @@ def _refit_decoder_kernel(decomp: TargetDecomposition, target_pmf: np.ndarray,
     nw = pw.shape[2]
     # C[u, x, y, v] = target P(v | u, x, y); rows weighted by P(u) mass
     cond = _conditional(target_pmf.sum(axis=2))  # sum over y'
-    pv = np.empty((ny, nx, nw, nv))
+    pv = np.full((ny, nx, nw, nv), 1.0 / nv)  # a row without mass stays uniform
     sqrt_w = np.sqrt(np.maximum(decomp.p_u.pmf, 1e-12))
     for x in range(nx):
         m = pw[:, x, :] * sqrt_w[:, None]          # (nu, nw), mass-weighted
         for y in range(ny):
             c = cond[:, x, y, :] * sqrt_w[:, None]  # (nu, nv)
             sol, *_ = np.linalg.lstsq(m, c, rcond=None)
-            for w_idx in range(nw):
-                pv[y, x, w_idx] = _project_row(sol[w_idx])
+            rows = np.clip(sol, 0.0, None)          # (nw, nv), projected row by row
+            mass = rows.sum(axis=1, keepdims=True)
+            np.divide(rows, mass, out=pv[y, x], where=mass > 0)
     return pv
 
 
@@ -474,16 +469,20 @@ def optimize_auxiliary(target: JointDist, w_size: Optional[int] = None,
         w_size = target.pmf.shape[0] * target.pmf.shape[1]
     if w_size < 1:
         raise ValueError("w_size must be >= 1")
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     decomp = validate_target(target)
     i_channel = cond_mutual_info(target.marginal(_on_target(CHANNEL_AXES)))
     nv = target.pmf.shape[4]
 
-    best = None  # (score, slack, gap, start_rank, pw, pv) with pw padded to w_size
+    best = None  # ((score, -start rank), pw, pv) with the tables padded to w_size
     rank = 0
     for k in range(1, w_size + 1):
         for pw, pv in _initial_points(decomp, target.pmf, k, nv, starts, seed):
-            pw, pv = _coordinate_search(decomp, target.pmf, i_channel, pw, pv, budget)
-            score, slack, gap = _score(decomp, target.pmf, i_channel, pw, pv)
+            pw, (score, _, pv) = _coordinate_search(decomp, target.pmf, i_channel,
+                                                    pw, pv, budget)
             key = (score, -rank)
             if best is None or key > best[0]:
                 pw_full = np.zeros((decomp.p_u.size, decomp.p_x.size, w_size))
@@ -491,10 +490,10 @@ def optimize_auxiliary(target: JointDist, w_size: Optional[int] = None,
                 pv_full = np.full((decomp.channel.output_size, decomp.p_x.size,
                                    w_size, nv), 1.0 / nv)
                 pv_full[:, :, :k, :] = pv
-                best = (key, slack, gap, pw_full, pv_full)
+                best = (key, pw_full, pv_full)
             rank += 1
 
-    _, slack, gap, pw, pv = best
+    _, pw, pv = best
     candidate = InnerCandidate(
         p_u=decomp.p_u, p_x=decomp.p_x, p_w_given_ux=Kernel(pw),
         channel=decomp.channel, p_v_given_yxw=Kernel(pv),
@@ -503,78 +502,45 @@ def optimize_auxiliary(target: JointDist, w_size: Optional[int] = None,
 
 
 def _coordinate_search(decomp, target_pmf, i_channel, pw, pv, budget):
-    pw = pw.copy()
-    score, pv = _refit_or_keep(decomp, target_pmf, i_channel, pw, pv.copy())
-    nu, nx, nw = pw.shape
-    ny = pv.shape[0]
-    nv = pv.shape[3]
+    """Cyclic row moves: each row of pw, then of pv, steps toward every
+    simplex vertex and takes the best move that beats the score by more
+    than 1e-12 (the first on a tie).  A pw move refits pv; a pv move keeps
+    pw's slack.  Returns pw and the final state (score, slack, pv)."""
+    state = _refit_or_keep(decomp, target_pmf, i_channel, pw, pv)
+    rows = ([(True, i) for i in np.ndindex(pw.shape[:2])]
+            + [(False, i) for i in np.ndindex(pv.shape[:3])])
     for _ in range(budget):
         improved = False
-        # auxiliary kernel rows, decoder kernel refit after each accepted move
-        for u in range(nu):
-            for x in range(nx):
-                row = pw[u, x]
-                move = _best_row_move(
-                    row, nw,
-                    lambda r: _try_pw(decomp, target_pmf, i_channel, pw, pv, u, x, r),
-                    score)
-                if move is not None:
-                    score, new_row, new_pv = move
-                    pw[u, x] = new_row
-                    pv = new_pv
-                    improved = True
-        # decoder kernel rows
-        for y in range(ny):
-            for x in range(nx):
-                for w_idx in range(nw):
-                    row = pv[y, x, w_idx]
-                    move = _best_row_move(
-                        row, nv,
-                        lambda r: _try_pv(decomp, target_pmf, i_channel, pw, pv,
-                                          y, x, w_idx, r),
-                        score)
-                    if move is not None:
-                        score, new_row, _ = move
-                        pv[y, x, w_idx] = new_row
-                        improved = True
+        for on_pw, idx in rows:
+            table = pw if on_pw else state[2]
+            row = table[idx]
+            best = None
+            for vertex in np.eye(row.size):
+                for step in _STEP_GRID:
+                    trial = table.copy()
+                    trial[idx] = (1.0 - step) * row + step * vertex
+                    if on_pw:
+                        new = _refit_or_keep(decomp, target_pmf, i_channel, trial, state[2])
+                    else:
+                        new = _state(decomp, target_pmf, pw, trial, state[1])
+                    if new[0] > state[0] + 1e-12 and (best is None or new[0] > best[0][0]):
+                        best = (new, trial)
+            if best is not None:
+                state = best[0]
+                if on_pw:
+                    pw = best[1]
+                improved = True
         if not improved:
             break
-    return pw, pv
+    return pw, state
 
 
 def _refit_or_keep(decomp, target_pmf, i_channel, pw, pv):
-    """(score, decoder kernel) of the better of pv and its least-squares
-    refit for pw; pv is kept on a tie."""
-    pv_refit = _refit_decoder_kernel(decomp, target_pmf, pw, pv.shape[3])
-    s_refit = _score(decomp, target_pmf, i_channel, pw, pv_refit)[0]
-    s_keep = _score(decomp, target_pmf, i_channel, pw, pv)[0]
-    if s_refit > s_keep:
-        return s_refit, pv_refit
-    return s_keep, pv
-
-
-def _try_pw(decomp, target_pmf, i_channel, pw, pv, u, x, row):
-    trial = pw.copy()
-    trial[u, x] = row
-    return _refit_or_keep(decomp, target_pmf, i_channel, trial, pv)
-
-
-def _try_pv(decomp, target_pmf, i_channel, pw, pv, y, x, w_idx, row):
-    trial = pv.copy()
-    trial[y, x, w_idx] = row
-    return _score(decomp, target_pmf, i_channel, pw, trial)[0], pv
-
-
-def _best_row_move(row, size, evaluate, current_score):
-    """Try steps from `row` toward every simplex vertex; return the best
-    strictly improving (score, row, extra) or None."""
-    best = None
-    for k in range(size):
-        vertex = np.zeros(size)
-        vertex[k] = 1.0
-        for step in _STEP_GRID:
-            cand = (1.0 - step) * row + step * vertex
-            score, extra = evaluate(cand)
-            if score > current_score + 1e-12 and (best is None or score > best[0]):
-                best = (score, cand, extra)
-    return best
+    """State (score, slack, pv) of the better of pv and its
+    least-squares refit for pw; pv is kept on a tie.  pw's slack is
+    computed once and shared."""
+    slack = _slack_of(decomp, i_channel, pw)
+    refit = _state(decomp, target_pmf, pw,
+                   _refit_decoder_kernel(decomp, target_pmf, pw, pv.shape[3]), slack)
+    keep = _state(decomp, target_pmf, pw, pv, slack)
+    return refit if refit[0] > keep[0] else keep

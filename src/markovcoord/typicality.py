@@ -38,7 +38,10 @@ class EnumerationTooLarge(RuntimeError):
 def check_seq(seq: np.ndarray, size: int, name: str, n: Optional[int] = None) -> np.ndarray:
     """seq as a one-dimensional int64 array of symbols in [0, size), of
     length n when n is given; a ValueError names `name` otherwise."""
-    seq = np.asarray(seq, dtype=np.int64)
+    seq = np.asarray(seq)
+    if seq.size and seq.dtype.kind not in "biu":
+        raise ValueError(f"{name} has non-integer symbols")
+    seq = seq.astype(np.int64, copy=False)
     if seq.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if seq.size and (seq.min() < 0 or seq.max() >= size):
@@ -54,8 +57,7 @@ def _check_pair(x_seq, y_seq, y0: int, x_size: int, y_size: int):
     y_seq = check_seq(y_seq, y_size, "y_seq")
     if x_seq.size != y_seq.size:
         raise ValueError(f"length mismatch: {x_seq.size} vs {y_seq.size}")
-    if not 0 <= y0 < y_size:
-        raise ValueError("y0 out of range")
+    kernels.check_state(y0, y_size)
     return x_seq, y_seq
 
 
@@ -133,8 +135,7 @@ def full_type(u_seq, x_seq, y_seq, v_seq, y0: int,
         raise ValueError("all four sequences must have the same length")
     if n < 1:
         raise ValueError("sequences must have length >= 1")
-    if not 0 <= y0 < ny:
-        raise ValueError("y0 out of range")
+    kernels.check_state(y0, ny)
     yprev = kernels.prev_states(y_seq, y0)
     cells = (((u_seq * nx + x_seq) * ny + yprev) * ny + y_seq) * nv + v_seq
     counts = kernels.row_counts(cells, nu * nx * ny * ny * nv)
@@ -296,8 +297,7 @@ def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     nx, ny = px.size, w.output_size
-    if not 0 <= y0 < ny:
-        raise ValueError("y0 out of range")
+    kernels.check_state(y0, ny)
     pi = stationary_dist(induced_transition(px, w))
     q = triplet_law(pi.pmf, px.pmf, w)
     h_rate = entropy_table(q) - entropy_table(pi.pmf)

@@ -104,6 +104,7 @@ _ENTRY_CALLS = {
     ("packing", dict(rate=math.nan), "^rate must be"),
     ("packing", dict(rate=math.inf), "^rate must be"),
     ("packing", dict(rate=-0.1), "^rate must be"),
+    ("packing", dict(y0=0.5), r"^y0=0\.5 is not an integer state"),
     ("encode", dict(eps=math.nan), "^eps must be"),
     ("encode", dict(eps=-1.0), "^eps must be"),
     ("encode", dict(eps=math.inf), "^eps must be"),
@@ -112,8 +113,8 @@ _ENTRY_CALLS = {
     ("decode", dict(eps=math.inf), "^eps must be"),
 ], ids=["packing-one-codeword-eps-nan", "packing-one-codeword-y0", "packing-n-zero",
         "packing-eps-nan", "packing-eps-negative", "packing-eps-zero", "packing-rate-nan",
-        "packing-rate-inf", "packing-rate-negative", "encode-eps-nan", "encode-eps-negative",
-        "encode-eps-inf", "decode-eps-nan", "decode-eps-zero", "decode-eps-inf"])
+        "packing-rate-inf", "packing-rate-negative", "packing-y0-float", "encode-eps-nan",
+        "encode-eps-negative", "encode-eps-inf", "decode-eps-nan", "decode-eps-zero", "decode-eps-inf"])
 def test_library_entry_points_check_what_scheme_config_checks(cand, entry, args, match):
     # without the checks a nan radius silently fails every covering or
     # decode, and a packing trial at one codeword returns before any check
@@ -691,14 +692,26 @@ def test_channel_rejects_out_of_range_y0(cand, y0):
                             uniform_grid(0, 50))
     with pytest.raises(ValueError, match=rf"y0={y0} outside \[0, 2\)"):
         joint_packing_event(cand, 50, 0.05, 0.24, y0=y0, seed=0)
-    with pytest.raises(ValueError, match="y0 out of range"):
+    with pytest.raises(ValueError, match=rf"y0={y0} outside \[0, 2\)"):
         aep_audit(16, 0.24, cand.p_x, cand.channel, y0=y0, mode="sample", sample_size=10)
+
+
+@pytest.mark.parametrize("y0", [0.5, 1.0])
+def test_channel_rejects_non_integer_y0(cand, y0):
+    # unchecked, a float state runs the scheme from int(y0)
+    match = rf"^y0={y0} is not an integer state"
+    with pytest.raises(ValueError, match=match):
+        SchemeConfig(candidate=cand, n=100, num_blocks=3, rate=0.01, eps=0.2, y0=y0)
+    with pytest.raises(ValueError, match=match):
+        kernels.markov_path(np.zeros(50, dtype=np.int64), y0, cand.channel.thresholds,
+                            uniform_grid(0, 50))
 
 
 @pytest.mark.parametrize("bad,match", [
     (lambda u: np.where(u == 1, 2, u), r"source_blocks\[5\] has symbols"),
     (lambda u: u[:-1], r"source_blocks\[5\] length"),
-], ids=["symbol", "length"])
+    (lambda u: u + 0.5, r"source_blocks\[5\] has non-integer symbols"),
+], ids=["symbol", "length", "non-integer"])
 def test_run_scheme_checks_source_blocks_at_entry(cand, monkeypatch, bad, match):
     calls = []
     channel = kernels.markov_path

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import make_flip_candidate, random_channel_instance, random_kernel
 from _oracles import binary_grid_slack, nested_loop_inner, nested_loop_outer
 
-from markovcoord import probability
+from markovcoord import probability, region
 from markovcoord.probability import (
     AssumptionViolated,
     Dist,
@@ -337,6 +339,79 @@ def test_optimizer_rejects_inconsistent_target():
     pmf = rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2)
     with pytest.raises(InconsistentTarget):
         optimize_auxiliary(JointDist(pmf), w_size=2)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(w_size=0), "^w_size must be >= 1"),
+    (dict(starts=0), "^starts must be >= 1, got 0"),
+    (dict(starts=-2), "^starts must be >= 1, got -2"),
+    (dict(budget=-3), "^budget must be >= 0, got -3"),
+], ids=["w-size-zero", "starts-zero", "starts-negative", "budget-negative"])
+def test_optimizer_names_bad_search_sizes(kwargs, match):
+    # unchecked, starts=0 leaves no best start, a negative starts runs a
+    # subset of the starts and a negative budget runs as budget=0
+    target = make_flip_candidate(0.2, 0.3, 0.1, 0.3, 0.1).target
+    with pytest.raises(ValueError, match=match):
+        optimize_auxiliary(target, **kwargs)
+
+
+def _region_search_candidate():
+    """The instance of the region-search benchmark workload."""
+    chan = [[[0.75, 0.25], [0.71, 0.29]], [[0.25, 0.75], [0.29, 0.71]]]
+    pw = [[[0.94, 0.06], [0.94, 0.06]], [[0.86, 0.14], [0.86, 0.14]]]
+    pv = [[[[0.9, 0.1], [0.1, 0.9]], [[0.9, 0.1], [0.1, 0.9]]],
+          [[[0.1, 0.9], [0.9, 0.1]], [[0.1, 0.9], [0.9, 0.1]]]]
+    return InnerCandidate(UNIF2, UNIF2, Kernel(np.array(pw)), Kernel(np.array(chan)),
+                          Kernel(np.array(pv)))
+
+
+def _ternary_candidate():
+    """Ternary U and V over binary X, Y and W."""
+    chan = [[[0.8, 0.2], [0.7, 0.3]], [[0.25, 0.75], [0.35, 0.65]]]
+    pw = [[[0.9, 0.1], [0.85, 0.15]], [[0.2, 0.8], [0.3, 0.7]], [[0.5, 0.5], [0.6, 0.4]]]
+    pv = np.full((2, 2, 2, 3), 0.1)
+    for y in range(2):
+        for w in range(2):
+            pv[y, :, w, (y + 2 * w) % 3] = 0.8
+    return InnerCandidate(Dist(np.array([0.5, 0.3, 0.2])), Dist(np.array([0.6, 0.4])),
+                          Kernel(np.array(pw)), Kernel(np.array(chan)), Kernel(pv))
+
+
+@pytest.mark.parametrize("make,kwargs,slack,gap,digest", [
+    (_region_search_candidate, dict(w_size=2, budget=4, seed=1, starts=4),
+     0.14942658567089584, 3.95516952522712e-16,
+     "8b28c859cd185fea9456bcd1ded934551e19307f67f2f2d18266b84d0f0c0605"),
+    (_ternary_candidate, dict(w_size=2, budget=4, seed=2, starts=3),
+     -0.15094876697023007, 9.889988474372138e-07,
+     "b89360b5c83e9ea96a9b0a475b5205a8633f6b85efb3f3bfab5c757e37822f20"),
+], ids=["region-search", "ternary-u-v"])
+def test_optimizer_bits_are_pinned(make, kwargs, slack, gap, digest):
+    # exact floats and table bytes: a change in the order of the search's
+    # float operations or in its tie rule shows here
+    best, rep = optimize_auxiliary(make().target, **kwargs)
+    assert (rep.slack, rep.marginal_gap) == (slack, gap)
+    tables = best.p_w_given_ux.table.tobytes() + best.p_v_given_yxw.table.tobytes()
+    assert hashlib.sha256(tables).hexdigest() == digest
+
+
+def test_optimizer_computes_each_auxiliary_slack_once(monkeypatch):
+    # every auxiliary kernel the search scores is refit once; its slack
+    # depends on it alone, so it is computed once too
+    calls = {"_slack_of": 0, "_refit_decoder_kernel": 0}
+
+    def counted(name):
+        inner = getattr(region, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(region, name, counted(name))
+    optimize_auxiliary(_region_search_candidate().target, w_size=2, budget=4, seed=1, starts=4)
+    assert calls["_refit_decoder_kernel"] > 0
+    assert calls["_slack_of"] == calls["_refit_decoder_kernel"]
 
 
 def test_optimizer_default_w_size_is_source_times_input():

@@ -23,6 +23,7 @@ from markovcoord.typicality import (
     EnumerationTooLarge,
     aep_audit,
     aep_constants,
+    check_seq,
     conditional_gap,
     full_type,
     project_type,
@@ -179,12 +180,12 @@ _W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
 
 @pytest.mark.parametrize("call,match", [
     (lambda: sequence_log_prob([0], [0, 1, 1, 0, 1], 0, _PX, _W), "length mismatch"),
-    (lambda: sequence_log_prob([0, 1], [1, 0], -1, _PX, _W), "y0 out of range"),
-    (lambda: sequence_log_prob([0, 1], [1, 0], 2, _PX, _W), "y0 out of range"),
-    (lambda: aep_audit(6, 0.24, _PX, _W, y0=2), "y0 out of range"),
-    (lambda: aep_audit(6, 0.24, _PX, _W, y0=-1), "y0 out of range"),
-    (lambda: aep_audit(16, 0.24, _PX, _W, y0=2, sample_size=10), "y0 out of range"),
-    (lambda: aep_audit(16, 0.24, _PX, _W, y0=-1, sample_size=10), "y0 out of range"),
+    (lambda: sequence_log_prob([0, 1], [1, 0], -1, _PX, _W), r"^y0=-1 outside \[0, 2\)"),
+    (lambda: sequence_log_prob([0, 1], [1, 0], 2, _PX, _W), r"^y0=2 outside \[0, 2\)"),
+    (lambda: aep_audit(6, 0.24, _PX, _W, y0=2), r"^y0=2 outside \[0, 2\)"),
+    (lambda: aep_audit(6, 0.24, _PX, _W, y0=-1), r"^y0=-1 outside \[0, 2\)"),
+    (lambda: aep_audit(16, 0.24, _PX, _W, y0=2, sample_size=10), r"^y0=2 outside \[0, 2\)"),
+    (lambda: aep_audit(16, 0.24, _PX, _W, y0=-1, sample_size=10), r"^y0=-1 outside \[0, 2\)"),
     (lambda: aep_audit(0, 0.2, _PX, _W), "^n must be >= 1"),
     (lambda: aep_audit(6, -0.1, _PX, _W), "^eps must be > 0"),
     (lambda: aep_audit(16, 0.24, _PX, _W, mode="sample", sample_size=0),
@@ -193,10 +194,17 @@ _W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
     (lambda: aep_audit(8, math.nan, _PX, _W), "^eps must be > 0 and finite"),
     (lambda: aep_audit(8, 1.0, _PX, _W, delta=math.inf), "^delta must be finite"),
     (lambda: aep_audit(8, 1.0, _PX, _W, delta=math.nan), "^delta must be finite"),
+    (lambda: check_seq([0.7, 1.2], 2, "x"), "^x has non-integer symbols"),
+    (lambda: triplet_type([0.9, 1.5], [1, 0], 0, 2, 2), "^x_seq has non-integer symbols"),
+    (lambda: check_seq([], 2, "x", n=2), "^x length 0 does not match n=2"),
+    (lambda: sequence_log_prob([0, 1], [1, 0], 0.5, _PX, _W), r"^y0=0\.5 is not an integer"),
+    (lambda: full_type([0], [0], [0], [0], 0.5, (2, 2, 2, 2)), r"^y0=0\.5 is not an integer"),
+    (lambda: aep_audit(6, 0.24, _PX, _W, y0=0.5), r"^y0=0\.5 is not an integer"),
 ], ids=["logp-short-x", "logp-y0-neg", "logp-y0-high", "exact-y0-high", "exact-y0-neg",
         "sampled-y0-high", "sampled-y0-neg", "audit-n-zero", "audit-eps-negative",
         "audit-sample-size-zero", "audit-eps-inf", "audit-eps-nan", "audit-delta-inf",
-        "audit-delta-nan"])
+        "audit-delta-nan", "seq-float", "triplet-float-x", "seq-empty-length",
+        "logp-y0-float", "full-type-y0-float", "audit-y0-float"])
 def test_bad_sequence_inputs_are_named_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
