@@ -21,16 +21,10 @@ from .probability import (
 from .typicality import (
     AepConstants,
     EnumerationTooLarge,
-    FullType,
-    TripletType,
     aep_audit,
     aep_constants,
-    conditional_gap,
     full_type,
-    project_type,
-    sequence_log_prob,
     triplet_type,
-    type_gap,
 )
 from .region import (
     FeasibilityReport,

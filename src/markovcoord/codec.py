@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .region import InnerCandidate
 from .rng import derive_key, derive_keys, draw, thresholds, uniform_grid
-from .typicality import FullType, check_seq, full_type
+from .typicality import check_seq, full_type
 
 MEMORY_GUARD_BYTES = 8 * 10 ** 8  # X plane table plus the per-index decode vectors
 _DECODE_INDEX_BYTES = 40  # gaps1, gaps2, survivor and hit indices and masks, per index
@@ -316,7 +316,8 @@ class RunResult:
     empirical 5-tuple types are each counted once over the concatenated
     blocks (the coordinated blocks 0..B-2, the last block, and all B
     blocks), with the channel state threading across block boundaries, so
-    all = coordinated + last is a check of three separate counts.
+    all = coordinated + last is a check of three separate counts.  Each
+    type is a `full_type` count array over (u, x, y', y, v).
     """
 
     n: int
@@ -327,25 +328,24 @@ class RunResult:
     event_a: np.ndarray
     event_b: np.ndarray
     event_c: np.ndarray
-    type_coord: FullType
-    type_last: FullType
-    type_all: FullType
+    type_coord: np.ndarray
+    type_last: np.ndarray
+    type_all: np.ndarray
     tv_coord: float
     tv_all: float
 
     @property
     def cells(self) -> int:
-        return self.type_all.counts.size
+        return self.type_all.size
 
     def mixing_identity_exact(self) -> bool:
         """Counts identity: all-blocks type = coordinated + last block."""
-        return bool(np.array_equal(
-            self.type_all.counts, self.type_coord.counts + self.type_last.counts))
+        return bool(np.array_equal(self.type_all, self.type_coord + self.type_last))
 
     def mixing_gap(self) -> float:
         """l1 distance between the all-blocks and coordinated-blocks types."""
-        return float(np.abs(self.type_all.normalized
-                            - self.type_coord.normalized).sum())
+        coord = self.type_coord.ravel() / ((self.num_blocks - 1) * self.n)
+        return float(kernels.l1_gaps(self.type_all.ravel(), self.num_blocks * self.n, coord))
 
     def mixing_bound(self) -> float:
         """(2 / B) * number of cells, the coarse last-block mixing bound."""
@@ -418,9 +418,8 @@ def run_scheme(cfg: SchemeConfig,
     type_last = full_type(u[-1], x[-1], y[-1], v[-1], int(boundaries[-1]), sizes)
     type_all = full_type(u.ravel(), x.ravel(), y.ravel(), v.ravel(), cfg.y0, sizes)
 
-    target = cand.target.pmf
-    tv_coord = float(np.abs(type_coord.normalized - target).sum())
-    tv_all = float(np.abs(type_all.normalized - target).sum())
+    tv_coord = float(kernels.l1_gaps(type_coord.ravel(), (B - 1) * n, cand.target.pmf))
+    tv_all = float(kernels.l1_gaps(type_all.ravel(), B * n, cand.target.pmf))
     return RunResult(
         n=n, num_blocks=B, true_indices=true_m, decoded_indices=decoded_m,
         decode_status=tuple(status), event_a=event_a, event_b=event_b,

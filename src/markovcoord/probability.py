@@ -313,11 +313,6 @@ def lifted_transition(px: Dist, w: Kernel) -> Kernel:
     return Kernel(m.reshape(ny * nx * ny, ny * nx * ny))
 
 
-def lifted_index(i: int, x: int, j: int, nx: int, ny: int) -> int:
-    """Flat state index used by lifted_transition."""
-    return (i * nx + x) * ny + j
-
-
 def triplet_law(pi: np.ndarray, px: np.ndarray, w: Kernel) -> np.ndarray:
     """pi(y') px(x) w(y | x, y') as a (y', x, y) table.
 

@@ -1,23 +1,23 @@
 """Adjacent-triplet empirical types, typicality gaps, and exhaustive
 small-blocklength audits of the equipartition and cardinality bounds.
 
-Types are stored as integer count tables, never floats, so counting
-invariants (marginalization commutes with counting, counts sum to n) are
-exact; normalization happens only at comparison time.
+A type is an int64 count array, never floats, so counting invariants
+(marginalization commutes with counting, counts sum to n) are exact;
+every gap of a type against a target is `kernels.l1_gaps`, which
+normalizes at comparison time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import kernels
 from .probability import (
     Dist,
-    JointDist,
     Kernel,
     entropy_table,
     induced_transition,
@@ -51,59 +51,6 @@ def check_seq(seq: np.ndarray, size: int, name: str, n: Optional[int] = None) ->
     return seq
 
 
-def _check_pair(x_seq, y_seq, y0: int, x_size: int, y_size: int):
-    """(x_seq, y_seq) checked as equal-length symbol sequences, y0 as a state."""
-    x_seq = check_seq(x_seq, x_size, "x_seq")
-    y_seq = check_seq(y_seq, y_size, "y_seq")
-    if x_seq.size != y_seq.size:
-        raise ValueError(f"length mismatch: {x_seq.size} vs {y_seq.size}")
-    kernels.check_state(y0, y_size)
-    return x_seq, y_seq
-
-
-@dataclass(frozen=True, eq=False)
-class TripletType:
-    """Empirical counts over adjacent triplets (y_prev, x, y)."""
-
-    counts: np.ndarray  # (ny, nx, ny) int64
-    n: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        if counts.sum() != self.n:
-            raise ValueError("triplet counts do not sum to n")
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self.counts / self.n
-
-
-@dataclass(frozen=True, eq=False)
-class FullType:
-    """Empirical counts over 5-tuples (u, x, y_prev, y, v)."""
-
-    counts: np.ndarray  # (nu, nx, ny, ny, nv) int64
-    n: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        if counts.sum() != self.n:
-            raise ValueError("full-type counts do not sum to n")
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self.counts / self.n
-
-    def to_triplet(self) -> TripletType:
-        """Marginalize out (u, v); reproduces triplet_type on the same data."""
-        table = self.counts.sum(axis=(0, 4))  # (nx, ny, ny) -> reorder to (ny, nx, ny)
-        return TripletType(np.transpose(table, (1, 0, 2)), self.n)
-
-
 @dataclass(frozen=True)
 class AepConstants:
     """Finite log-probability bounds entering the equipartition deviation."""
@@ -113,18 +60,23 @@ class AepConstants:
     boundary: float
 
 
-def triplet_type(x_seq, y_seq, y0: int, x_size: int, y_size: int) -> TripletType:
-    """Count adjacent triplets (y_{t-1}, x_t, y_t); y0 supplies y_0."""
-    x_seq, y_seq = _check_pair(x_seq, y_seq, y0, x_size, y_size)
+def triplet_type(x_seq, y_seq, y0: int, x_size: int, y_size: int) -> np.ndarray:
+    """(y_size, x_size, y_size) int64 counts of adjacent triplets
+    (y_{t-1}, x_t, y_t); y0 supplies y_0."""
+    x_seq = check_seq(x_seq, x_size, "x_seq")
+    y_seq = check_seq(y_seq, y_size, "y_seq")
+    if x_seq.size != y_seq.size:
+        raise ValueError(f"length mismatch: {x_seq.size} vs {y_seq.size}")
+    kernels.check_state(y0, y_size)
     if x_seq.size < 1:
         raise ValueError("sequences must have length >= 1")
     counts = kernels.triplet_counts(x_seq, y_seq, y0, x_size, y_size)
-    return TripletType(counts.reshape(y_size, x_size, y_size), x_seq.size)
+    return counts.reshape(y_size, x_size, y_size)
 
 
 def full_type(u_seq, x_seq, y_seq, v_seq, y0: int,
-              sizes: Tuple[int, int, int, int]) -> FullType:
-    """Count 5-tuples (u_t, x_t, y_{t-1}, y_t, v_t)."""
+              sizes: Tuple[int, int, int, int]) -> np.ndarray:
+    """(nu, nx, ny, ny, nv) int64 counts of 5-tuples (u_t, x_t, y_{t-1}, y_t, v_t)."""
     nu, nx, ny, nv = sizes
     u_seq = check_seq(u_seq, nu, "u_seq")
     x_seq = check_seq(x_seq, nx, "x_seq")
@@ -138,42 +90,7 @@ def full_type(u_seq, x_seq, y_seq, v_seq, y0: int,
     kernels.check_state(y0, ny)
     yprev = kernels.prev_states(y_seq, y0)
     cells = (((u_seq * nx + x_seq) * ny + yprev) * ny + y_seq) * nv + v_seq
-    counts = kernels.row_counts(cells, nu * nx * ny * ny * nv)
-    return FullType(counts.reshape(nu, nx, ny, ny, nv), n)
-
-
-def type_gap(t: Union[TripletType, FullType], target: JointDist) -> float:
-    """l1 distance between a normalized type and a target distribution."""
-    if t.counts.shape != target.pmf.shape:
-        raise ValueError(f"shape mismatch {t.counts.shape} vs {target.pmf.shape}")
-    return float(np.abs(t.normalized - target.pmf).sum())
-
-
-def project_type(t: TripletType):
-    """Exact input marginal and adjacent-pair marginal of a triplet type."""
-    x_marginal = t.counts.sum(axis=(0, 2)) / t.n
-    pair_marginal = t.counts.sum(axis=1) / t.n
-    return x_marginal, pair_marginal
-
-
-def conditional_gap(x_seq, y_seq, y0: int, pi: Dist, w: Kernel) -> float:
-    """l1 gap between the triplet type and pi x (empirical x-marginal) x w."""
-    t = triplet_type(x_seq, y_seq, y0, w.input_sizes[0], w.output_size)
-    return _conditional_gap(t, pi, w)
-
-
-def _conditional_gap(t: TripletType, pi: Dist, w: Kernel) -> float:
-    qx = t.counts.sum(axis=(0, 2)) / t.n
-    return float(np.abs(t.normalized - triplet_law(pi.pmf, qx, w)).sum())
-
-
-def sequence_log_prob(x_seq, y_seq, y0: int, px: Dist, w: Kernel) -> float:
-    """log2 P(x^n, y^n) under iid inputs and the one-step channel, y0 fixed.
-
-    Returns -inf when the path crosses a zero-probability factor.
-    """
-    x_seq, y_seq = _check_pair(x_seq, y_seq, y0, px.size, w.output_size)
-    return float(_path_log2(x_seq, y_seq, y0, px, w))
+    return kernels.row_counts(cells, nu * nx * ny * ny * nv).reshape(nu, nx, ny, ny, nv)
 
 
 def _path_log2(x, y, y0: int, px: Dist, w: Kernel) -> np.ndarray:
@@ -198,17 +115,19 @@ def prop1_gaps(x_seq, y_seq, y0: int, px: Dist, w: Kernel,
     sequence pair, measured against the product target pi x px x w and its
     marginals.
     """
+    chain = induced_transition(px, w)
     if pi is None:
-        pi = stationary_dist(induced_transition(px, w))
-    nx, ny = px.size, w.output_size
-    t = triplet_type(x_seq, y_seq, y0, nx, ny)
-    joint = float(np.abs(t.normalized - triplet_law(pi.pmf, px.pmf, w)).sum())
-    x_marg, pair_marg = project_type(t)
-    x_gap = float(np.abs(x_marg - px.pmf).sum())
-    t_matrix = induced_transition(px, w).table
-    pair_gap = float(np.abs(pair_marg - pi.pmf[:, None] * t_matrix).sum())
-    cond = _conditional_gap(t, pi, w)
-    return {"joint": joint, "x": x_gap, "pair": pair_gap, "conditional": cond}
+        pi = stationary_dist(chain)
+    t = triplet_type(x_seq, y_seq, y0, px.size, w.output_size)
+    n = int(t.sum())
+    x_counts = t.sum(axis=(0, 2))
+    gaps = {
+        "joint": kernels.l1_gaps(t.ravel(), n, triplet_law(pi.pmf, px.pmf, w)),
+        "x": kernels.l1_gaps(x_counts, n, px.pmf),
+        "pair": kernels.l1_gaps(t.sum(axis=1).ravel(), n, pi.pmf[:, None] * chain.table),
+        "conditional": kernels.l1_gaps(t.ravel(), n, triplet_law(pi.pmf, x_counts / n, w)),
+    }
+    return {name: float(gap) for name, gap in gaps.items()}
 
 
 def aep_constants(px: Dist, w: Kernel, n: int, y0_known: bool = True) -> AepConstants:

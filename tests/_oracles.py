@@ -92,6 +92,16 @@ def sequence_prob_direct(x_seq, y_seq, y0, px_pmf, w_table):
     return prob
 
 
+def sequence_log_prob(x_seq, y_seq, y0, px, w):
+    """log2 P(x^n, y^n) under iid inputs px and the one-step channel w from
+    state y0: the per-step log2(px[x] w[x, y', y]), summed; -inf when the
+    path crosses a zero-probability factor."""
+    x, y = np.asarray(x_seq), np.asarray(y_seq)
+    y_prev = np.concatenate([[y0], y[:-1]])
+    with np.errstate(divide="ignore"):  # a zero factor gives log2 = -inf
+        return float(np.log2(px.pmf[x] * w.table[x, y_prev, y]).sum())
+
+
 def enumerate_pairs(n, nx, ny):
     """All (x^n, y^n) pairs as tuples, pure itertools."""
     return itertools.product(itertools.product(range(nx), repeat=n),

@@ -139,7 +139,7 @@ def test_criterion_04_ergodicity():
             x = draw(s_x, x_thr)
             y = kernels.markov_path(x, 0, cand.channel.thresholds, s_chan)
             t = triplet_type(x, y, 0, 2, 2)
-            gaps.append(float(np.abs(t.normalized - q3).sum()))
+            gaps.append(float(np.abs(t / n - q3).sum()))
         medians[n] = float(np.median(gaps))
         if n == 10000:
             hits = sum(g <= 0.05 for g in gaps)

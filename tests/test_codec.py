@@ -574,7 +574,7 @@ def test_run_scheme_deterministic(cand):
     r2 = run_scheme(cfg)
     assert np.array_equal(r1.true_indices, r2.true_indices)
     assert np.array_equal(r1.decoded_indices, r2.decoded_indices)
-    assert np.array_equal(r1.type_all.counts, r2.type_all.counts)
+    assert np.array_equal(r1.type_all, r2.type_all)
     assert r1.tv_all == r2.tv_all
 
 
@@ -583,7 +583,7 @@ def test_run_scheme_two_blocks_boundary(cand):
                        rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"],
                        cover_eps=BLESSED["eps_cover"], seed=3)
     r = run_scheme(cfg)
-    assert r.type_coord.n == 200 and r.type_all.n == 400
+    assert r.type_coord.sum() == 200 and r.type_all.sum() == 400
     assert r.mixing_identity_exact()
     assert r.mixing_gap() <= r.mixing_bound() + 1e-12
     assert not r.event_a[-1]  # last block's source is never described
@@ -624,7 +624,7 @@ def _per_block_types(cfg, r):
             w_hat = cb.w_rows(m_hat, m_next, x_hat)[0]
             v = draw(uniform_grid(derive_key(cfg.seed, _TAG_V, b), n)[0],
                      cand.p_v_given_yxw.thresholds[(y * nx + x_hat) * nw + w_hat])
-        tables.append(full_type(u, x, y, v, y_state, (nu, nx, ny, nv)).counts)
+        tables.append(full_type(u, x, y, v, y_state, (nu, nx, ny, nv)))
         y_state = int(y[-1])
     coord = np.sum(tables[:-1], axis=0)
     return coord, tables[-1], coord + tables[-1]
@@ -642,9 +642,9 @@ def test_run_scheme_types_equal_per_block_oracle(cand, cand3, which):
                            seed=seed)
         r = run_scheme(cfg)
         coord, last, total = _per_block_types(cfg, r)
-        assert np.array_equal(r.type_coord.counts, coord)
-        assert np.array_equal(r.type_last.counts, last)
-        assert np.array_equal(r.type_all.counts, total)
+        assert np.array_equal(r.type_coord, coord)
+        assert np.array_equal(r.type_last, last)
+        assert np.array_equal(r.type_all, total)
         assert r.mixing_identity_exact()
 
 

@@ -7,31 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel_instance
-from _oracles import sequence_prob_direct, typical_set_scan
+from _oracles import sequence_log_prob, sequence_prob_direct, typical_set_scan
 
+from markovcoord import probability
 from markovcoord.probability import (
     Dist,
-    JointDist,
     Kernel,
     induced_transition,
     stationary_dist,
+    triplet_law,
 )
 from markovcoord.rng import derive_key, derive_keys, draw, thresholds, uniform_grid
-from markovcoord import kernels
+from markovcoord import kernels, typicality
 from markovcoord.typicality import (
     AUDIT_CHUNK_SYMBOLS,
     EnumerationTooLarge,
     aep_audit,
     aep_constants,
     check_seq,
-    conditional_gap,
     full_type,
-    project_type,
     prop1_gaps,
     sample_pairs,
-    sequence_log_prob,
     triplet_type,
-    type_gap,
 )
 
 
@@ -59,17 +56,17 @@ def test_sample_pairs_rows_are_the_per_key_streams():
 
 def test_triplet_type_examples():
     t = triplet_type([0, 1], [1, 0], 0, 2, 2)
-    assert t.counts[0, 0, 1] == 1 and t.counts[1, 1, 0] == 1
-    assert t.counts.sum() == t.n == 2
+    assert t.dtype == np.int64 and t.shape == (2, 2, 2)
+    assert t[0, 0, 1] == 1 and t[1, 1, 0] == 1 and t.sum() == 2
 
     t = triplet_type([1] * 5, [0] * 5, 0, 2, 2)  # constant sequences
-    assert t.counts[0, 1, 0] == 5
+    assert t[0, 1, 0] == 5
 
     rng = np.random.default_rng(0)
     x = rng.integers(0, 3, 20)
     y = rng.integers(0, 2, 20)
     t = triplet_type(x, y, 1, 3, 2)
-    assert t.normalized.sum() == pytest.approx(1.0, abs=1e-12)
+    assert t.shape == (2, 3, 2) and t.sum() == 20
 
 
 def test_triplet_type_errors():
@@ -83,10 +80,11 @@ def test_triplet_type_errors():
 
 def test_full_type_examples():
     t = full_type([0], [1], [1], [0], 0, (2, 2, 2, 2))
-    assert t.counts[0, 1, 0, 1, 0] == 1 and t.n == 1
+    assert t.dtype == np.int64 and t.shape == (2, 2, 2, 2, 2)
+    assert t[0, 1, 0, 1, 0] == 1 and t.sum() == 1
 
     t = full_type([1] * 4, [0] * 4, [1] * 4, [1] * 4, 1, (2, 2, 2, 2))
-    assert t.counts[1, 0, 1, 1, 1] == 4
+    assert t[1, 0, 1, 1, 1] == 4
 
 
 def test_full_type_marginalizes_to_triplet():
@@ -96,22 +94,19 @@ def test_full_type_marginalizes_to_triplet():
     y, v = rng.integers(0, 3, n), rng.integers(0, 2, n)
     ft = full_type(u, x, y, v, 2, (2, 2, 3, 2))
     tt = triplet_type(x, y, 2, 2, 3)
-    assert np.array_equal(ft.to_triplet().counts, tt.counts)
+    # summing out (u, v) leaves (x, y', y); the triplet type is (y', x, y)
+    assert np.array_equal(ft.sum(axis=(0, 4)).transpose(1, 0, 2), tt)
 
 
 def test_type_gap_examples():
-    t = triplet_type([0, 1, 0, 1], [0, 1, 0, 1], 1, 2, 2)
-    target = JointDist(t.normalized)
-    assert type_gap(t, target) == 0.0
+    t = triplet_type([0, 1, 0, 1], [0, 1, 0, 1], 1, 2, 2).ravel()
+    assert kernels.l1_gaps(t, 4, t / 4) == 0.0
 
     # point-mass type against uniform over k cells: 2 (k - 1) / k
-    t = triplet_type([0] * 6, [0] * 6, 0, 2, 2)
+    t = triplet_type([0] * 6, [0] * 6, 0, 2, 2).ravel()
     k = 8
-    uniform = JointDist(np.full((2, 2, 2), 1.0 / k))
-    assert type_gap(t, uniform) == pytest.approx(2 * (k - 1) / k, abs=1e-12)
-
-    with pytest.raises(ValueError):
-        type_gap(t, JointDist(np.full((2, 2), 0.25)))
+    uniform = np.full((2, 2, 2), 1.0 / k)
+    assert kernels.l1_gaps(t, 6, uniform) == pytest.approx(2 * (k - 1) / k, abs=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -119,27 +114,37 @@ def test_type_gap_examples():
 def test_type_gap_is_a_metric(seed):
     rng = np.random.default_rng(seed)
     n = 17
-    types = [triplet_type(rng.integers(0, 2, n), rng.integers(0, 2, n), 0, 2, 2)
+    types = [triplet_type(rng.integers(0, 2, n), rng.integers(0, 2, n), 0, 2, 2).ravel()
              for _ in range(3)]
-    dists = [JointDist(t.normalized) for t in types]
-    d01 = type_gap(types[0], dists[1])
-    d10 = type_gap(types[1], dists[0])
-    d02 = type_gap(types[0], dists[2])
-    d12 = type_gap(types[1], dists[2])
+    d01 = kernels.l1_gaps(types[0], n, types[1] / n)
+    d10 = kernels.l1_gaps(types[1], n, types[0] / n)
+    d02 = kernels.l1_gaps(types[0], n, types[2] / n)
+    d12 = kernels.l1_gaps(types[1], n, types[2] / n)
     assert d01 == pytest.approx(d10, abs=1e-12)
     assert d02 <= d01 + d12 + 1e-12
 
 
 def test_project_type_examples():
-    t = triplet_type([1] * 5, [0] * 5, 0, 2, 2)
-    x_marg, pair_marg = project_type(t)
-    assert x_marg[1] == 1.0 and pair_marg.sum() == pytest.approx(1.0)
+    # x = 1 and y = 0 throughout: the x and pair marginals are point masses
+    px = Dist(np.array([0.5, 0.5]))
+    w = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
+                         [[0.25, 0.75], [0.29, 0.71]]]))
+    chain = induced_transition(px, w)
+    pi = stationary_dist(chain).pmf
+    gaps = prop1_gaps([1] * 5, [0] * 5, 0, px, w)
+    assert gaps["x"] == 1.0
+    assert gaps["pair"] == pytest.approx(2 * (1 - pi[0] * chain.table[0, 0]), abs=1e-12)
 
+    # the marginal gaps equal the gaps of the marginals of the counts
     rng = np.random.default_rng(2)
-    t = triplet_type(rng.integers(0, 2, 40), rng.integers(0, 3, 40), 0, 2, 3)
-    x_marg, pair_marg = project_type(t)
-    assert x_marg.sum() == pytest.approx(1.0, abs=1e-12)
-    assert pair_marg.sum() == pytest.approx(1.0, abs=1e-12)
+    px, w = random_channel_instance(rng, 2, 3)
+    x, y = rng.integers(0, 2, 40), rng.integers(0, 3, 40)
+    t = triplet_type(x, y, 0, 2, 3)
+    chain = induced_transition(px, w)
+    pair = stationary_dist(chain).pmf[:, None] * chain.table
+    gaps = prop1_gaps(x, y, 0, px, w)
+    assert gaps["x"] == float(np.abs(t.sum(axis=(0, 2)) / 40 - px.pmf).sum())
+    assert gaps["pair"] == float(np.abs(t.sum(axis=1) / 40 - pair).sum())
 
 
 def test_conditional_gap_zero_when_exact():
@@ -147,7 +152,8 @@ def test_conditional_gap_zero_when_exact():
     px = Dist(np.array([0.5, 0.5]))
     w = Kernel(np.array([[[1.0]], [[1.0]]]))  # |Y| = 1
     pi = Dist(np.array([1.0]))
-    assert conditional_gap([0, 1, 0, 1], [0, 0, 0, 0], 0, pi, w) == pytest.approx(0.0)
+    gaps = prop1_gaps([0, 1, 0, 1], [0, 0, 0, 0], 0, px, w, pi)
+    assert gaps["conditional"] == pytest.approx(0.0)
 
 
 def test_sequence_log_prob_examples():
@@ -179,9 +185,9 @@ _W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: sequence_log_prob([0], [0, 1, 1, 0, 1], 0, _PX, _W), "length mismatch"),
-    (lambda: sequence_log_prob([0, 1], [1, 0], -1, _PX, _W), r"^y0=-1 outside \[0, 2\)"),
-    (lambda: sequence_log_prob([0, 1], [1, 0], 2, _PX, _W), r"^y0=2 outside \[0, 2\)"),
+    (lambda: triplet_type([0], [0, 1, 1, 0, 1], 0, 2, 2), "length mismatch"),
+    (lambda: triplet_type([0, 1], [1, 0], -1, 2, 2), r"^y0=-1 outside \[0, 2\)"),
+    (lambda: triplet_type([0, 1], [1, 0], 2, 2, 2), r"^y0=2 outside \[0, 2\)"),
     (lambda: aep_audit(6, 0.24, _PX, _W, y0=2), r"^y0=2 outside \[0, 2\)"),
     (lambda: aep_audit(6, 0.24, _PX, _W, y0=-1), r"^y0=-1 outside \[0, 2\)"),
     (lambda: aep_audit(16, 0.24, _PX, _W, y0=2, sample_size=10), r"^y0=2 outside \[0, 2\)"),
@@ -197,14 +203,14 @@ _W = Kernel(np.array([[[0.75, 0.25], [0.71, 0.29]],
     (lambda: check_seq([0.7, 1.2], 2, "x"), "^x has non-integer symbols"),
     (lambda: triplet_type([0.9, 1.5], [1, 0], 0, 2, 2), "^x_seq has non-integer symbols"),
     (lambda: check_seq([], 2, "x", n=2), "^x length 0 does not match n=2"),
-    (lambda: sequence_log_prob([0, 1], [1, 0], 0.5, _PX, _W), r"^y0=0\.5 is not an integer"),
+    (lambda: triplet_type([0, 1], [1, 0], 0.5, 2, 2), r"^y0=0\.5 is not an integer"),
     (lambda: full_type([0], [0], [0], [0], 0.5, (2, 2, 2, 2)), r"^y0=0\.5 is not an integer"),
     (lambda: aep_audit(6, 0.24, _PX, _W, y0=0.5), r"^y0=0\.5 is not an integer"),
-], ids=["logp-short-x", "logp-y0-neg", "logp-y0-high", "exact-y0-high", "exact-y0-neg",
+], ids=["triplet-short-x", "triplet-y0-neg", "triplet-y0-high", "exact-y0-high", "exact-y0-neg",
         "sampled-y0-high", "sampled-y0-neg", "audit-n-zero", "audit-eps-negative",
         "audit-sample-size-zero", "audit-eps-inf", "audit-eps-nan", "audit-delta-inf",
         "audit-delta-nan", "seq-float", "triplet-float-x", "seq-empty-length",
-        "logp-y0-float", "full-type-y0-float", "audit-y0-float"])
+        "triplet-y0-float", "full-type-y0-float", "audit-y0-float"])
 def test_bad_sequence_inputs_are_named_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -215,8 +221,7 @@ def test_counting_conservation_property():
     for _ in range(20):
         n = int(rng.integers(1, 60))
         x, y = rng.integers(0, 2, n), rng.integers(0, 3, n)
-        t = triplet_type(x, y, 0, 2, 3)
-        assert t.counts.sum() == n
+        assert triplet_type(x, y, 0, 2, 3).sum() == n
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,27 @@ def test_prop1_gaps_counts_the_type_once(monkeypatch):
     monkeypatch.setattr(kernels, "triplet_counts", counted)
     gaps = prop1_gaps(x, y, 1, px, w, pi)
     assert len(calls) == 1
-    assert gaps["conditional"] == conditional_gap(x, y, 1, pi, w)
+    # bit-equal to the gap of the normalized type against pi x (its x-marginal) x w
+    t = triplet_type(x, y, 1, 2, 3)
+    target = triplet_law(pi.pmf, t.sum(axis=(0, 2)) / 90, w)
+    assert gaps["conditional"] == float(np.abs(t / 90 - target).sum())
+
+
+def test_prop1_gaps_builds_the_induced_chain_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    px, w = random_channel_instance(rng, 3, 2)
+    x, y = _sample_pair(px, w, 60, 0, 45)
+    calls = []
+    induced = probability.induced_transition
+
+    def counted(*args):
+        calls.append(1)
+        return induced(*args)
+
+    monkeypatch.setattr(typicality, "induced_transition", counted)
+    gaps = prop1_gaps(x, y, 0, px, w)
+    assert len(calls) == 1
+    assert gaps == prop1_gaps(x, y, 0, px, w, stationary_dist(induced(px, w)))
 
 
 def test_conditional_gap_triangle_composition():
@@ -380,7 +405,7 @@ def _sampled_audit_loop(n, eps, px, w, y0, sample_size, seed):
         x_seq = draw(s_x, x_thr)
         y_seq = kernels.markov_path(x_seq, y0, w_thr, s_chan)
         t = triplet_type(x_seq, y_seq, y0, nx, ny)
-        if float(np.abs(t.normalized - q).sum()) <= eps:
+        if float(np.abs(t / n - q).sum()) <= eps:
             typical += 1
             nll = -sequence_log_prob(x_seq, y_seq, y0, px, w) / n
             nll_min = min(nll_min, nll)
@@ -431,7 +456,7 @@ def test_sampled_typical_probability_trend():
         for s in range(trials):
             x, y = _sample_pair(px, w, n, 0, derive_key(71, n, s))
             t = triplet_type(x, y, 0, 2, 2)
-            hits += float(np.abs(t.normalized - q).sum()) <= eps
+            hits += float(np.abs(t / n - q).sum()) <= eps
         probs.append(hits / trials)
     assert probs[1] >= probs[0] - 0.02
     assert probs[2] >= probs[1] - 0.02
