@@ -128,10 +128,14 @@ def default_config(kind: str) -> dict:
 
 
 def read_config(path: str) -> dict:
-    """Parse a JSON config file into a dict; raises ParseError with position."""
+    """Parse a JSON config file into a dict; raises ParseError with position,
+    or naming the NaN, Infinity or -Infinity token Python's json would accept."""
+    def non_finite(token):
+        raise ParseError(f"{path}: {token} is not a finite number")
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=non_finite)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -158,7 +162,7 @@ _POSITIVE_REAL = (lambda v: type(v) in (int, float) and 0 < v < math.inf,
 # (accepts, description) of every top-level scalar, sweep value and option
 _CHECKS: Dict[str, Tuple[Any, str]] = {
     "trials": _POSITIVE_INT,
-    "master_seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    "master_seed": (lambda v: type(v) is int and 0 <= v < 2 ** 64, "an integer in [0, 2^64)"),
     "output_path": (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
     "n": _POSITIVE_INT,
     "num_blocks": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
@@ -183,6 +187,12 @@ def _valid(field: str, key: str, value: Any, problems: List[str]) -> bool:
     return accepts(value)
 
 
+def _has_bool(value: Any) -> bool:
+    """A JSON true/false anywhere in a nested list, which numpy reads as 1.0/0.0."""
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(_has_bool(v) for v in value))
+
+
 def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate]:
     """The instance's InnerCandidate, or None with every fault in `problems`."""
     parts = {}
@@ -190,6 +200,9 @@ def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate
                          ("w_given_ux", Kernel), ("v_given_yxw", Kernel)]:
         if fname not in inst:
             problems.append(f"instance.{fname}: missing")
+            continue
+        if _has_bool(inst[fname]):
+            problems.append(f"instance.{fname}: true/false is not a probability")
             continue
         try:
             parts[fname] = build(np.asarray(inst[fname], dtype=float))

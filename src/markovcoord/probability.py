@@ -45,6 +45,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_frozen(a: np.ndarray, what: str) -> np.ndarray:
+    """_frozen(a); a ValueError names `what` unless every entry is finite,
+    since a NaN passes every sign and sum check after it."""
+    out = _frozen(a)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dist:
     """A pmf over a finite alphabet."""
@@ -52,13 +61,13 @@ class Dist:
     pmf: np.ndarray
 
     def __post_init__(self):
-        pmf = _frozen(self.pmf)
+        pmf = _finite_frozen(self.pmf, "pmf")
         if pmf.ndim != 1:
             raise ValueError("pmf must be one-dimensional")
         if np.any(pmf < 0):
             raise ValueError("pmf has negative entries")
         if abs(pmf.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"pmf sums to {pmf.sum()!r}, not 1 within {PROB_TOL}")
+            raise ValueError(f"pmf sums to {float(pmf.sum())!r}, not 1 within {PROB_TOL}")
         object.__setattr__(self, "pmf", pmf)
 
     @property
@@ -78,7 +87,7 @@ class Kernel:
     table: np.ndarray
 
     def __post_init__(self):
-        table = _frozen(self.table)
+        table = _finite_frozen(self.table, "kernel")
         if table.ndim < 2:
             raise ValueError("kernel table needs at least one conditioning axis")
         if 0 in table.shape[:-1]:
@@ -87,8 +96,8 @@ class Kernel:
             raise ValueError("kernel has negative entries")
         rowsums = table.sum(axis=-1)
         if np.any(np.abs(rowsums - 1.0) > PROB_TOL):
-            bad = np.argwhere(np.abs(rowsums - 1.0) > PROB_TOL)[0]
-            raise ValueError(f"kernel row {tuple(bad)} sums to {rowsums[tuple(bad)]!r}")
+            bad = tuple(np.argwhere(np.abs(rowsums - 1.0) > PROB_TOL)[0].tolist())
+            raise ValueError(f"kernel row {bad} sums to {float(rowsums[bad])!r}")
         object.__setattr__(self, "table", table)
 
     @property
@@ -115,11 +124,11 @@ class JointDist:
     pmf: np.ndarray
 
     def __post_init__(self):
-        pmf = _frozen(self.pmf)
+        pmf = _finite_frozen(self.pmf, "joint pmf")
         if np.any(pmf < 0):
             raise ValueError("joint pmf has negative entries")
         if abs(pmf.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"joint pmf sums to {pmf.sum()!r}")
+            raise ValueError(f"joint pmf sums to {float(pmf.sum())!r}")
         object.__setattr__(self, "pmf", pmf)
 
     @property

@@ -268,7 +268,8 @@ def _conditional(table: np.ndarray) -> np.ndarray:
     """P(last coordinate | the rest) of a nonnegative table, uniform where
     the conditioning mass is zero."""
     mass = table.sum(axis=-1, keepdims=True)
-    return np.where(mass > 0, table / np.maximum(mass, 1e-300), 1.0 / table.shape[-1])
+    out = np.full(table.shape, 1.0 / table.shape[-1])
+    return np.divide(table, mass, out=out, where=mass > 0)
 
 
 def _decompose_channel_marginal(p_xyy: np.ndarray, tol: float) -> Tuple[Dist, Dist, Kernel]:

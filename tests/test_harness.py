@@ -61,6 +61,24 @@ def test_parse_error_reports_position(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tokens_fail_to_parse(tmp_path, capsys, value):
+    # Python's json reads NaN, Infinity and -Infinity; a config may not
+    raw = _simulate_raw()
+    raw["instance"]["u_pmf"] = [value, 1.0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    token = json.dumps(value)
+    with pytest.raises(ParseError, match=f"{token} is not a finite number"):
+        load_config(str(path))
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    assert f"{token} is not a finite number" in capsys.readouterr().err
+
+
+def test_largest_master_seed_is_accepted():
+    assert config_from_dict(_simulate_raw(master_seed=2 ** 64 - 1)).master_seed == 2 ** 64 - 1
+
+
 def test_validation_error_names_bad_pmf_row():
     raw = _simulate_raw()
     raw["instance"]["u_pmf"] = [0.5, 0.4]  # sums to 0.9
@@ -103,6 +121,12 @@ def test_validation_error_on_kind_and_sweep():
     ("aep-audit", ("options", "audit_max_pairs"), -1),
     ("aep-audit", ("options", "audit_sample_size"), "10"),
     ("simulate", ("instance", "v_given_yxw"), np.full((2, 2, 3, 2), 0.5).tolist()),
+    ("simulate", ("master_seed",), 2 ** 64),
+    ("simulate", ("instance", "u_pmf"), [True, False]),
+    ("simulate", ("instance", "channel"), [[[True, 0.0], [0.71, 0.29]],
+                                           [[0.25, 0.75], [0.29, 0.71]]]),
+    ("simulate", ("instance", "x_pmf"), [float("nan"), 1.0]),
+    ("simulate", ("instance", "w_given_ux"), [[[float("inf"), 0.0]] * 2] * 2),
 ])
 def test_validation_error_names_bad_value(kind, path, value):
     # bad values fail at load, naming the field, instead of becoming error rows

@@ -255,6 +255,29 @@ def test_count_tables_have_one_layer():
     assert not stray
 
 
+def _is_l1_sum(node):
+    """An l1 distance written out: a `.sum(...)` of an `abs(...)` call."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sum" and _is_call(node.func.value, "abs"))
+
+
+# the l1 sums that are not a count table against a target: tv_distance and the
+# stationarity residual compare two pmfs, region._state a joint's marginal gap
+_L1_SUMS = {("kernels.py", "l1_gaps"), ("probability.py", "tv_distance"),
+            ("probability.py", "stationary_dist"), ("region.py", "_state")}
+
+
+def test_every_type_gap_is_l1_gaps():
+    # a type's gap against a target is kernels.l1_gaps, so the gap floats have
+    # one summation order; a hand-written np.abs(...).sum(...) elsewhere fails here
+    stray = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for fn, node in _nodes_by_function(ast.parse(path.read_text())):
+            if _is_l1_sum(node) and (path.name, fn) not in _L1_SUMS:
+                stray.append(f"{path.name}:{node.lineno} {ast.unparse(node)} in {fn}")
+    assert not stray
+
+
 def _einsum_form(spec):
     """An einsum subscript with its letters renamed a, b, ... in order of first appearance."""
     names = {}

@@ -56,6 +56,26 @@ def test_kernel_row_validation():
         Kernel(np.array([[0.5, 0.5], [0.7, 0.8]]))
 
 
+@pytest.mark.parametrize("build,table,match", [
+    (Dist, [np.nan, 1.0], "^pmf has non-finite entries$"),
+    (Dist, [np.inf, 0.0], "^pmf has non-finite entries$"),
+    (Kernel, [[np.nan, 1.0], [0.5, 0.5]], "^kernel has non-finite entries$"),
+    (Kernel, [[0.5, 0.5], [-np.inf, 1.0]], "^kernel has non-finite entries$"),
+    (JointDist, [[np.nan, 0.5], [0.25, 0.25]], "^joint pmf has non-finite entries$"),
+    (JointDist, [[np.inf, 0.5], [0.25, 0.25]], "^joint pmf has non-finite entries$"),
+    (Dist, [0.5, 0.4], r"^pmf sums to 0\.9, not 1 within 1e-09$"),
+    (Kernel, [[0.5, 0.5], [0.5, 0.4]], r"^kernel row \(1,\) sums to 0\.9$"),
+    (Kernel, [[[0.5, 0.5]], [[0.4, 0.5]]], r"^kernel row \(1, 0\) sums to 0\.9$"),
+    (JointDist, [[0.5, 0.4]], r"^joint pmf sums to 0\.9$"),
+], ids=["dist-nan", "dist-inf", "kernel-nan", "kernel-neg-inf", "joint-nan", "joint-inf",
+        "dist-sum", "kernel-row", "kernel-row-3d", "joint-sum"])
+def test_bad_tables_are_named_errors(build, table, match):
+    # a NaN fails every sign and sum comparison, so it is caught on its own;
+    # sums and rows print as plain numbers
+    with pytest.raises(ValueError, match=match):
+        build(np.array(table))
+
+
 def test_entropy_examples():
     assert entropy(Dist(np.array([0.5, 0.5]))) == pytest.approx(1.0, abs=1e-12)
     assert entropy(Dist(np.array([1.0, 0.0]))) == 0.0

@@ -477,3 +477,13 @@ def test_witness_w_equals_u_on_v_copy_targets():
         rep = inner_feasibility(cand, product_target(p_uv, p_xyy))
         assert rep.marginal_gap <= 1e-9
         assert rep.slack == pytest.approx(separation_slack(p_uv, p_xyy), abs=1e-9)
+
+
+def test_subnormal_input_mass_gives_conditionals():
+    # an input of mass 1e-320: its channel rows are divided by their own mass,
+    # so they sum to 1, where a 1e-300 floor on the mass left rows summing to ~3e-21
+    cand = make_flip_candidate(0.25, 0.29, 0.06, 0.14, 0.10, x_pmf=(1e-320, 1.0))
+    _, report = optimize_auxiliary(cand.target, w_size=1, budget=2, seed=0, starts=1)
+    assert report.slack <= cand.i_channel + 1e-9
+    table = np.array([[5e-324, 1e-323], [0.0, 0.0]])
+    assert np.array_equal(region._conditional(table), [[1 / 3, 2 / 3], [0.5, 0.5]])
