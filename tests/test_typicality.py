@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import random_channel_instance
 from _oracles import sequence_log_prob, sequence_prob_direct, typical_set_scan
 
-from markovcoord import probability
 from markovcoord.probability import (
     Dist,
     Kernel,
@@ -275,7 +274,7 @@ def test_prop1_gaps_builds_the_induced_chain_once(monkeypatch):
     px, w = random_channel_instance(rng, 3, 2)
     x, y = _sample_pair(px, w, 60, 0, 45)
     calls = []
-    induced = probability.induced_transition
+    induced = induced_transition
 
     def counted(*args):
         calls.append(1)
