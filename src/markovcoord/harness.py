@@ -35,30 +35,23 @@ from .region import InnerCandidate, optimize_auxiliary
 from .rng import derive_key
 from .typicality import aep_audit, prop1_gaps, sample_pairs
 
-KINDS = ("region", "simulate", "typicality-audit", "aep-audit", "packing-probe")
+# kind -> (sweep keys, {option: default}); a key of another kind fails at load.
+# Options: optimizer sweeps and starts, the covering radius (None: eps) and
+# search cap, the aep-audit enumeration guard and the sample size past it.
+_KIND_KEYS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
+    "region": (("w_size",), {"optimizer_budget": 30, "optimizer_starts": 16}),
+    "simulate": (("n", "num_blocks", "rate", "eps"), {"cover_eps": None, "scan_limit": None}),
+    "typicality-audit": (("n", "eps"), {}),
+    "aep-audit": (("n", "eps"), {"audit_max_pairs": 10_000_000, "audit_sample_size": 20_000}),
+    "packing-probe": (("n", "rate", "eps"), {}),
+}
+KINDS = tuple(_KIND_KEYS)
 
 DEFAULTS: Dict[str, Any] = {
     "trials": 1,
     "master_seed": 0,
     "output_path": "out",
-    "options": {
-        "cover_eps": None,       # simulate: covering radius (defaults to eps)
-        "scan_limit": None,      # simulate: covering-search cap
-        "optimizer_budget": 30,  # region: coordinate-ascent sweeps
-        "optimizer_starts": 16,  # region: multi-start count
-        "optimize": True,        # region: run the auxiliary search
-        "audit_max_pairs": 10_000_000,   # aep-audit enumeration guard
-        "audit_sample_size": 20_000,     # aep-audit fallback sample size
-    },
     "sweep_defaults": {"eps": [0.05, 0.1, 0.2]},
-}
-
-_SWEEP_KEYS = {
-    "region": ("w_size",),
-    "simulate": ("n", "num_blocks", "rate", "eps"),
-    "typicality-audit": ("n", "eps"),
-    "aep-audit": ("n", "eps"),
-    "packing-probe": ("n", "rate", "eps"),
 }
 
 
@@ -104,7 +97,8 @@ class ExperimentConfig:
 
 def default_config(kind: str) -> dict:
     """Template config with every default applied (--print-defaults)."""
-    sweep = {k: [] for k in _SWEEP_KEYS[kind]}
+    sweep_keys, options = _KIND_KEYS[kind]
+    sweep = {k: [] for k in sweep_keys}
     if "eps" in sweep:
         sweep["eps"] = list(DEFAULTS["sweep_defaults"]["eps"])
     return {
@@ -123,7 +117,7 @@ def default_config(kind: str) -> dict:
         "trials": DEFAULTS["trials"],
         "master_seed": DEFAULTS["master_seed"],
         "output_path": DEFAULTS["output_path"],
-        "options": dict(DEFAULTS["options"]),
+        "options": dict(options),
     }
 
 
@@ -134,10 +128,12 @@ def read_config(path: str) -> dict:
         raise ParseError(f"{path}: {token} is not a finite number")
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=non_finite)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     if not isinstance(raw, dict):
@@ -174,7 +170,6 @@ _CHECKS: Dict[str, Tuple[Any, str]] = {
     "scan_limit": (lambda v: v is None or _POSITIVE_INT[0](v), "null or " + _POSITIVE_INT[1]),
     "optimizer_budget": _POSITIVE_INT,
     "optimizer_starts": _POSITIVE_INT,
-    "optimize": (lambda v: isinstance(v, bool), "true or false"),
     "audit_max_pairs": _POSITIVE_INT,
     "audit_sample_size": _POSITIVE_INT,
 }
@@ -241,9 +236,10 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
     inst_raw = raw.get("instance", {})
     candidate = _build_candidate(inst_raw, problems)
 
+    sweep_keys, options = _KIND_KEYS[eff_kind]
     sweep_raw = raw.get("sweep", {})
     sweep: Dict[str, List[Any]] = {}
-    for key in _SWEEP_KEYS[eff_kind]:
+    for key in sweep_keys:
         values = sweep_raw.get(key)
         if values is None and key in DEFAULTS["sweep_defaults"]:
             values = list(DEFAULTS["sweep_defaults"][key])
@@ -252,7 +248,7 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
         elif all([_valid(f"sweep.{key}", key, v, problems) for v in values]):
             sweep[key] = list(values)
     for key in sweep_raw:
-        if key not in _SWEEP_KEYS[eff_kind]:
+        if key not in sweep_keys:
             problems.append(f"sweep.{key}: not a sweep parameter of kind {eff_kind!r}")
 
     scalars = {key: raw.get(key, DEFAULTS[key])
@@ -260,10 +256,10 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
     for key, value in scalars.items():
         _valid(key, key, value, problems)
 
-    options = dict(DEFAULTS["options"])
+    options = dict(options)
     for k, v in raw.get("options", {}).items():
         if k not in options:
-            problems.append(f"options.{k}: unknown option")
+            problems.append(f"options.{k}: not an option of kind {eff_kind!r}")
         elif _valid(f"options.{k}", k, v, problems):
             options[k] = v
 
@@ -345,20 +341,16 @@ def run_experiment(cfg: ExperimentConfig) -> RecordSet:
 
 def _run_region(cfg, point, seed):
     cand = cfg.candidate
-    metrics = {
-        "i_channel": cand.i_channel,
-        "i_auxiliary": cand.i_auxiliary,
+    _, report = optimize_auxiliary(
+        cand.target, w_size=int(point["w_size"]),
+        budget=int(cfg.options["optimizer_budget"]),
+        seed=seed, starts=int(cfg.options["optimizer_starts"]))
+    return {
+        "i_channel": cand.i_channel, "i_auxiliary": cand.i_auxiliary,
         "candidate_slack": cand.i_channel - cand.i_auxiliary,
+        "best_slack": report.slack, "best_feasible": int(report.feasible),
+        "best_marginal_gap": report.marginal_gap,
     }
-    if cfg.options["optimize"]:
-        _, report = optimize_auxiliary(
-            cand.target, w_size=int(point["w_size"]),
-            budget=int(cfg.options["optimizer_budget"]),
-            seed=seed, starts=int(cfg.options["optimizer_starts"]))
-        metrics.update(
-            best_slack=report.slack, best_feasible=int(report.feasible),
-            best_marginal_gap=report.marginal_gap)
-    return metrics
 
 
 def _run_simulate(cfg, point, seed):
@@ -391,8 +383,7 @@ def _run_typicality_audit(cfg, point, seed):
     slop = 1e-9  # independent rounding of the separate gap summations
     projections_ok = (not joint_typical) or (
         gaps["x"] <= eps + slop and gaps["pair"] <= eps + slop
-        and gaps["conditional"] <= 2 * eps + slop
-        and gaps["joint"] <= 2 * eps + slop)
+        and gaps["conditional"] <= 2 * eps + slop)
     return {
         "joint_gap": gaps["joint"], "x_gap": gaps["x"], "pair_gap": gaps["pair"],
         "conditional_gap": gaps["conditional"],
@@ -406,15 +397,20 @@ def _run_aep_audit(cfg, point, seed):
         int(point["n"]), float(point["eps"]), cand.p_x, cand.channel,
         y0=cfg.y0, max_pairs=int(cfg.options["audit_max_pairs"]),
         sample_size=int(cfg.options["audit_sample_size"]), seed=seed)
-    d = report.to_dict()
-    d["exact"] = int(d.pop("mode") == "exact")
-    for key in ("sandwich_ok", "all_pass"):
-        d[key] = int(d[key])
-    d["cardinality_ok"] = -1 if d["cardinality_ok"] is None else int(d["cardinality_ok"])
-    d["typical_count"] = -1 if d["typical_count"] is None else d["typical_count"]
-    for drop in ("n", "eps", "y0"):
-        d.pop(drop)
-    return d
+    c = report.constants
+    return {  # -1 marks a count or check that sampling does not give
+        "exact": int(report.mode == "exact"), "delta": report.delta,
+        "h_rate": report.h_rate, "l_x": c.l_x, "l_w": c.l_w, "boundary": c.boundary,
+        "pairs_total": report.pairs_total, "pairs_checked": report.pairs_checked,
+        "typical_count": -1 if report.typical_count is None else report.typical_count,
+        "typical_prob": report.typical_prob,
+        "prob_mass_checked": report.prob_mass_checked,
+        "nll_min": report.nll_min, "nll_max": report.nll_max,
+        "sandwich_ok": int(report.sandwich_ok),
+        "cardinality_log2_bound": report.cardinality_log2_bound,
+        "cardinality_ok": -1 if report.cardinality_ok is None else int(report.cardinality_ok),
+        "all_pass": int(report.all_pass),
+    }
 
 
 def _run_packing_probe(cfg, point, seed):

@@ -173,22 +173,6 @@ class AepAuditReport:
     cardinality_ok: Optional[bool]
     all_pass: bool
 
-    def to_dict(self) -> dict:
-        d = {
-            "mode": self.mode, "n": self.n, "eps": self.eps, "delta": self.delta,
-            "y0": self.y0, "h_rate": self.h_rate,
-            "l_x": self.constants.l_x, "l_w": self.constants.l_w,
-            "boundary": self.constants.boundary,
-            "pairs_total": self.pairs_total, "pairs_checked": self.pairs_checked,
-            "typical_count": self.typical_count, "typical_prob": self.typical_prob,
-            "prob_mass_checked": self.prob_mass_checked,
-            "nll_min": self.nll_min, "nll_max": self.nll_max,
-            "sandwich_ok": self.sandwich_ok,
-            "cardinality_log2_bound": self.cardinality_log2_bound,
-            "cardinality_ok": self.cardinality_ok, "all_pass": self.all_pass,
-        }
-        return d
-
 
 def aep_audit(n: int, eps: float, px: Dist, w: Kernel, y0: int = 0,
               delta: Optional[float] = None, mode: str = "auto",

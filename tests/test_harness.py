@@ -75,6 +75,17 @@ def test_non_finite_tokens_fail_to_parse(tmp_path, capsys, value):
     assert f"{token} is not a finite number" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_fails_to_parse(tmp_path, capsys):
+    # a 0xff byte inside a string is a parse error, not a decoding traceback
+    text = json.dumps(_simulate_raw(output_path="out-X")).encode()
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.replace(b"out-X", b"out-\xff"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_config(str(path))
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_largest_master_seed_is_accepted():
     assert config_from_dict(_simulate_raw(master_seed=2 ** 64 - 1)).master_seed == 2 ** 64 - 1
 
@@ -117,7 +128,7 @@ def test_validation_error_on_kind_and_sweep():
     ("region", ("sweep", "w_size"), [0]),
     ("region", ("options", "optimizer_budget"), 0),
     ("region", ("options", "optimizer_starts"), 2.5),
-    ("region", ("options", "optimize"), "yes"),
+    ("region", ("options", "optimizer_budget"), "yes"),
     ("aep-audit", ("options", "audit_max_pairs"), -1),
     ("aep-audit", ("options", "audit_sample_size"), "10"),
     ("simulate", ("instance", "v_given_yxw"), np.full((2, 2, 3, 2), 0.5).tolist()),
@@ -140,6 +151,53 @@ def test_validation_error_names_bad_value(kind, path, value):
     with pytest.raises(ValidationError) as exc:
         config_from_dict(raw)
     assert len(exc.value.fields) == 1 and path[-1] in exc.value.fields[0]
+
+
+# Each kind's own sweep keys and options, written out here rather than read
+# from the harness, so a key that moves between kinds fails this test.
+_OWN_KEYS = {
+    "region": ({"w_size"}, {"optimizer_budget", "optimizer_starts"}),
+    "simulate": ({"n", "num_blocks", "rate", "eps"}, {"cover_eps", "scan_limit"}),
+    "typicality-audit": ({"n", "eps"}, set()),
+    "aep-audit": ({"n", "eps"}, {"audit_max_pairs", "audit_sample_size"}),
+    "packing-probe": ({"n", "rate", "eps"}, set()),
+}
+_SWEEPS = {"region": {"w_size": [2]}, "typicality-audit": {"n": [20], "eps": [0.3]},
+           "aep-audit": {"n": [6], "eps": [0.8]},
+           "packing-probe": {"n": [20], "rate": [0.05], "eps": [0.3]}}
+# a valid value of every key, so only its kind can make it fail
+_VALUES = {"w_size": [2], "n": [20], "num_blocks": [3], "rate": [0.05], "eps": [0.3],
+           "optimizer_budget": 5, "optimizer_starts": 4, "cover_eps": 0.2,
+           "scan_limit": 100, "audit_max_pairs": 1000, "audit_sample_size": 100,
+           "optimize": True}
+_ALL_SWEEP = set().union(*(sweep for sweep, _ in _OWN_KEYS.values()))
+_ALL_OPTIONS = {"optimize"}.union(*(options for _, options in _OWN_KEYS.values()))
+_FOREIGN = ([(kind, "sweep", key) for kind, (sweep, _) in _OWN_KEYS.items()
+             for key in sorted(_ALL_SWEEP - sweep)]
+            + [(kind, "options", key) for kind, (_, options) in _OWN_KEYS.items()
+               for key in sorted(_ALL_OPTIONS - options)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_default_config_lists_only_its_own_keys(kind):
+    raw = default_config(kind)
+    assert set(raw["sweep"]) == _OWN_KEYS[kind][0]
+    assert set(raw["options"]) == _OWN_KEYS[kind][1]
+
+
+@pytest.mark.parametrize("kind,section,key", _FOREIGN)
+def test_keys_of_another_kind_exit_2_naming_the_field(kind, section, key, tmp_path, capsys):
+    raw = _simulate_raw() if kind == "simulate" else dict(default_config(kind),
+                                                          sweep=dict(_SWEEPS[kind]))
+    raw[section][key] = _VALUES[key]
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(raw)
+    kind_of = "a sweep parameter" if section == "sweep" else "an option"
+    assert exc.value.fields == [f"{section}.{key}: not {kind_of} of kind {kind!r}"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([kind, "--config", str(path)]) == 2
+    assert f"{section}.{key}: not" in capsys.readouterr().err
 
 
 def test_config_hash_stable_under_reordering():
