@@ -253,9 +253,11 @@ def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
     nu, nx, nw, ny, nv = candidate.sizes
     n = cb.n
     # condition 1: (y_cur, X(m)) against pi x P_X x W, all candidates, by popcount;
-    # a pass holds an int64 count table and two float64 gap temporaries per index
+    # a pass holds the plane AND temporaries, an int64 count table and two
+    # float64 gap temporaries per index
     gaps1 = np.empty(cb.m_count)
-    step = max(1, _DECODE_PASS_BYTES // (24 * ny * nx * ny))
+    words = cb.x_planes.shape[-1]
+    step = max(1, _DECODE_PASS_BYTES // (8 * (nx - 1) * ny * ny * words + 24 * ny * nx * ny))
     for lo in range(0, cb.m_count, step):
         counts1 = kernels.plane_triplet_counts(cb.x_planes[lo:lo + step], y_cur,
                                                boundary_cur, nx, ny)

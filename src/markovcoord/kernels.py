@@ -36,7 +36,6 @@ from .rng import draw, uniform_grid
 
 PATH_SEGMENT_SYMBOLS = 1 << 14  # channel steps composed per pass; bounds the map tables
 AEP_PASS_CELLS = 1 << 20  # count-table cells per enumeration pass; bounds its tables
-PLANE_PASS_BYTES = 1 << 22  # plane AND temporaries per counting pass
 
 
 def check_state(y0, ny: int) -> None:
@@ -145,21 +144,16 @@ def plane_triplet_counts(planes: np.ndarray, y: np.ndarray, y0, nx: int, ny: int
     are `planes` (..., nx - 1, words), against one output row y and scalar y0.
 
     Cell (y', x >= 1, y) of a row is the popcount of plane x AND the (y', y)
-    class mask; the x = 0 cell is the class size minus the others.  Rows are
-    counted PLANE_PASS_BYTES of AND temporaries at a time."""
+    class mask; the x = 0 cell is the class size minus the others.  All rows
+    are ANDed at once, 8 (nx - 1) ny^2 words bytes each, so callers pass rows
+    in bounded slices."""
     cls = prev_states(y, y0) * ny + y
     masks = bit_planes(cls + 1, ny * ny + 1).reshape(ny, 1, ny, -1)  # (y', 1, y, words)
-    sizes = row_counts(cls, ny * ny).reshape(ny, ny)
-    lead, (nplanes, words) = planes.shape[:-2], planes.shape[-2:]
-    rows = math.prod(lead)
-    flat = planes.reshape(rows, 1, nplanes, 1, words)
-    per_pass = max(1, PLANE_PASS_BYTES // max(1, 8 * nplanes * ny * ny * words))
-    counts = np.empty((rows, ny, nx, ny), dtype=np.int64)
-    for lo in range(0, rows, per_pass):
-        anded = flat[lo:lo + per_pass] & masks
-        counts[lo:lo + per_pass, :, 1:] = np.bitwise_count(anded).sum(axis=-1, dtype=np.int64)
-    counts[:, :, 0] = sizes - counts[:, :, 1:].sum(axis=2)
-    return counts.reshape(lead + (ny * nx * ny,))
+    sizes = row_counts(cls, ny * ny).reshape(ny, 1, ny)
+    anded = planes[..., None, :, None, :] & masks  # (..., y', x - 1, y, words)
+    ones = np.bitwise_count(anded).sum(axis=-1, dtype=np.int64)
+    counts = np.concatenate([sizes - ones.sum(axis=-2, keepdims=True), ones], axis=-2)
+    return counts.reshape(planes.shape[:-2] + (ny * nx * ny,))
 
 
 def l1_gaps(counts: np.ndarray, n: int, target: np.ndarray) -> np.ndarray:

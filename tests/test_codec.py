@@ -410,7 +410,6 @@ def test_decode_memory_stays_within_the_guard(cand, monkeypatch):
     monkeypatch.setattr(codec, "MEMORY_GUARD_BYTES", 2 * 10 ** 6)
     monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", 1 << 17)
     monkeypatch.setattr(codec, "_X_CHUNK_CELLS", 1 << 14)
-    monkeypatch.setattr(kernels, "PLANE_PASS_BYTES", 1 << 15)
     with pytest.raises(MemoryGuard):
         Codebook(cand, 100, 0.16, seed=0).materialize_x()  # 2^16 codewords
     cb = Codebook(cand, 100, 0.15, seed=0)  # 2^15 codewords, 1.8 MB
@@ -430,7 +429,6 @@ def test_decode_memory_stays_within_the_guard(cand, monkeypatch):
     passes = codec._decode_gaps(*args)
     assert 0 < (passes[0] <= 0.5).sum() < cb.m_count
     monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", 1 << 40)
-    monkeypatch.setattr(kernels, "PLANE_PASS_BYTES", 1 << 40)
     for got, one_pass in zip(passes, codec._decode_gaps(*args)):
         assert np.array_equal(got, one_pass)
 

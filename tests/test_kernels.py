@@ -2,7 +2,6 @@
 
 import ast
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,10 +172,9 @@ def test_count_tables_match_loop(nx, ny, n, shapes, per_row_y0, seed):
 
 
 @given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([1, 63, 64, 65, 200]),
-       st.sampled_from([(), (5,), (2, 3)]), st.sampled_from([1, 300, kernels.PLANE_PASS_BYTES]),
-       st.integers(0, 2 ** 32 - 1))
+       st.sampled_from([(), (5,), (2, 3)]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_plane_counts_match_triplet_counts(nx, ny, n, lead, pass_bytes, seed):
+def test_plane_counts_match_triplet_counts(nx, ny, n, lead, seed):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, nx, lead + (n,))
     y = rng.integers(0, ny, n)
@@ -188,11 +186,10 @@ def test_plane_counts_match_triplet_counts(nx, ny, n, lead, pass_bytes, seed):
             packed = sum(int(w) << (64 * i) for i, w in enumerate(planes[idx][k - 1]))
             assert packed == sum(1 << t for t in range(n) if x[idx][t] == k)
     assert np.array_equal(kernels.plane_symbols(planes, n), x)
-    with mock.patch.object(kernels, "PLANE_PASS_BYTES", pass_bytes):  # 1 and 300: row passes
-        for y0 in range(ny):
-            got = kernels.plane_triplet_counts(planes, y, y0, nx, ny)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, kernels.triplet_counts(x, y, y0, nx, ny))
+    for y0 in range(ny):
+        got = kernels.plane_triplet_counts(planes, y, y0, nx, ny)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, kernels.triplet_counts(x, y, y0, nx, ny))
 
 
 def _nodes_by_function(tree):
