@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 
+from markovcoord import kernels
+from markovcoord.codec import _TAG_CHAN, _TAG_U, _TAG_V, Codebook
+from markovcoord.rng import derive_key, draw, thresholds, uniform_grid
+
 
 def entropy_direct(pmf):
     """-sum p log2 p via a plain Python loop."""
@@ -271,3 +275,69 @@ def packing_decode_full_table(cb, y_prev, y_cur, m_prev, boundaries, eps):
     gaps2 = np.abs(c2.reshape(m_count, -1) / n
                    - cand.decode_target2.ravel()).sum(axis=1)
     return np.flatnonzero((gaps1 <= eps) & (gaps2 <= eps))
+
+
+def reference_scheme(cfg):
+    """Every RunResult field of the scheme `cfg`, from a plain loop over blocks.
+
+    Covering takes the smallest hit on the full W row (cut at
+    cfg.scan_limit when given), each block's channel path is one
+    markov_path from the state the block before ended in, each decode is
+    `packing_decode_full_table`, each decoded block draws its own V, and
+    each block's 5-tuple type is counted on its own."""
+    cand, n, B, seed = cfg.candidate, cfg.n, cfg.num_blocks, cfg.seed
+    nu, nx, nw, ny, nv = cand.sizes
+    cb = Codebook(cand, n, cfg.rate, seed)
+    rows = np.arange(cb.m_count)
+    u = [draw(uniform_grid(derive_key(seed, _TAG_U, b), n)[0], thresholds(cand.p_u.pmf))
+         for b in range(B)]
+    true_m, event_a = [0], np.zeros(B, dtype=bool)
+    for b in range(1, B):
+        x_prev = cb.x_word(true_m[-1])
+        w_all = cb.w_rows(true_m[-1], rows, x_prev)
+        counts = np.zeros((cb.m_count, nu, nx, nw), dtype=np.int64)
+        np.add.at(counts, (rows[:, None], u[b - 1][None, :], x_prev[None, :], w_all), 1)
+        gaps = np.abs(counts.reshape(cb.m_count, -1) / n - cand.cover_target.ravel()).sum(axis=1)
+        hits = np.flatnonzero(gaps[:cfg.scan_limit] <= cfg.effective_cover_eps)
+        event_a[b - 1] = hits.size == 0
+        true_m.append(int(hits[0]) if hits.size else 0)
+
+    x, y, starts, state = [cb.x_word(m) for m in true_m], [], [], cfg.y0
+    for b in range(B):
+        starts.append(state)
+        s = uniform_grid(derive_key(seed, _TAG_CHAN, b), n)[0]
+        y.append(kernels.markov_path(x[b], state, cand.channel.thresholds, s))
+        state = int(y[b][-1])
+    event_b = np.array([
+        np.abs(triplet_counts_loop(x[b], y[b], starts[b], nx, ny) / n
+               - cand.decode_target1.ravel()).sum() > cfg.eps for b in range(B)])
+
+    decoded, status = [0], ["ok"]
+    for b in range(1, B):
+        passing = packing_decode_full_table(cb, y[b - 1], y[b], decoded[-1],
+                                            (starts[b - 1], starts[b]), cfg.eps)
+        status.append({0: "none", 1: "ok"}.get(passing.size, "ambiguous"))
+        decoded.append(int(passing[0]) if passing.size == 1 else 0)
+    event_c = np.array([b > 0 and (status[b] != "ok" or decoded[b] != true_m[b])
+                        for b in range(B)])
+
+    types = np.zeros((B, nu, nx, ny, ny, nv), dtype=np.int64)
+    for b in range(B):
+        v = np.zeros(n, dtype=np.int64)  # the last block's output
+        if b < B - 1:
+            x_hat = cb.x_word(decoded[b])
+            w_hat = cb.w_rows(decoded[b], decoded[b + 1], x_hat)[0]
+            v = draw(uniform_grid(derive_key(seed, _TAG_V, b), n)[0],
+                     cand.p_v_given_yxw.thresholds[(y[b] * nx + x_hat) * nw + w_hat])
+        y_prev = np.concatenate([[starts[b]], y[b][:-1]])
+        np.add.at(types[b], (u[b], x[b], y_prev, y[b], v), 1)
+    coord, total = types[:-1].sum(axis=0), types.sum(axis=0)
+    target = cand.target.pmf.ravel()
+    return {
+        "n": n, "num_blocks": B, "true_indices": np.array(true_m),
+        "decoded_indices": np.array(decoded), "decode_status": tuple(status),
+        "event_a": event_a, "event_b": event_b, "event_c": event_c,
+        "type_coord": coord, "type_last": types[-1], "type_all": total,
+        "tv_coord": float(np.abs(coord.ravel() / ((B - 1) * n) - target).sum()),
+        "tv_all": float(np.abs(total.ravel() / (B * n) - target).sum()),
+    }

@@ -1,22 +1,21 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from _oracles import packing_decode_full_table
+from _oracles import packing_decode_full_table, reference_scheme
 from conftest import (BLESSED, make_flip_candidate, random_channel_instance, random_dist,
                       random_kernel)
 
 from markovcoord.probability import Dist, Kernel
 from markovcoord.region import InnerCandidate
-from markovcoord.rng import derive_key, derive_keys, draw, thresholds, uniform_grid
-from markovcoord.typicality import aep_audit, full_type
+from markovcoord.rng import derive_key, derive_keys, uniform_grid
+from markovcoord.typicality import aep_audit
 from markovcoord import codec, kernels
 from markovcoord.codec import (
     _TAG_CHAN,
-    _TAG_U,
-    _TAG_V,
     _cover_gaps,
     Codebook,
     DecodeStatus,
@@ -601,49 +600,29 @@ def test_run_scheme_mixing_identity_and_flag_consistency(cand):
     assert r.decode_status[0] == "ok" and not r.event_c[0]
 
 
-def _per_block_types(cfg, r):
-    """(coord, last, all) count tables of run r rebuilt block by block: each
-    block's source, channel path and decoder output from its own keys, one
-    markov_path per block from the state the previous block ended in, and
-    one full_type per block from that boundary state."""
-    cand, n, B = cfg.candidate, cfg.n, cfg.num_blocks
-    nu, nx, nw, ny, nv = cand.sizes
-    cb = Codebook(cand, n, cfg.rate, cfg.seed)
-    y_state, tables = cfg.y0, []
-    for b in range(B):
-        u = draw(uniform_grid(derive_key(cfg.seed, _TAG_U, b), n)[0], thresholds(cand.p_u.pmf))
-        x = cb.x_word(int(r.true_indices[b]))
-        y = kernels.markov_path(x, y_state, cand.channel.thresholds,
-                                uniform_grid(derive_key(cfg.seed, _TAG_CHAN, b), n))
-        v = np.zeros(n, dtype=np.int64)
-        if b < B - 1:
-            m_hat, m_next = int(r.decoded_indices[b]), int(r.decoded_indices[b + 1])
-            x_hat = cb.x_word(m_hat)
-            w_hat = cb.w_rows(m_hat, m_next, x_hat)[0]
-            v = draw(uniform_grid(derive_key(cfg.seed, _TAG_V, b), n)[0],
-                     cand.p_v_given_yxw.thresholds[(y * nx + x_hat) * nw + w_hat])
-        tables.append(full_type(u, x, y, v, y_state, (nu, nx, ny, nv)))
-        y_state = int(y[-1])
-    coord = np.sum(tables[:-1], axis=0)
-    return coord, tables[-1], coord + tables[-1]
-
-
 @pytest.mark.filterwarnings("ignore:rate")
 @pytest.mark.parametrize("which", ["blessed", "three_symbol_y"])
-def test_run_scheme_types_equal_per_block_oracle(cand, cand3, which):
-    # one count over the concatenated blocks equals the sum of per-block
-    # counts, each block started from its own threaded channel state
-    c, rate = (cand, BLESSED["rate_mid"]) if which == "blessed" else (cand3, 0.05)
-    for seed in (3, 21):
-        cfg = SchemeConfig(candidate=c, n=120, num_blocks=6, rate=rate,
-                           eps=BLESSED["eps_decode"], cover_eps=BLESSED["eps_cover"],
-                           seed=seed)
-        r = run_scheme(cfg)
-        coord, last, total = _per_block_types(cfg, r)
-        assert np.array_equal(r.type_coord, coord)
-        assert np.array_equal(r.type_last, last)
-        assert np.array_equal(r.type_all, total)
-        assert r.mixing_identity_exact()
+def test_run_scheme_matches_reference_scheme(cand, cand3, which):
+    # every RunResult field equals the plain block loop's, whose decodes are
+    # its own full-table decisions; the runs cover all three decode statuses,
+    # wrong decodes and covering failures
+    c, rate, eps, cover_eps = ((cand, BLESSED["rate_mid"], BLESSED["eps_decode"],
+                                BLESSED["eps_cover"]) if which == "blessed"
+                               else (cand3, 0.05, 0.4, 0.2))
+    statuses, wrong, cover_failures = set(), 0, 0
+    for y0 in (0, 1):
+        for blocks in range(2, 10):
+            cfg = SchemeConfig(candidate=c, n=120, num_blocks=blocks, rate=rate, eps=eps,
+                               cover_eps=cover_eps, y0=y0, seed=blocks + 10 * y0)
+            r = run_scheme(cfg)
+            ref = reference_scheme(cfg)
+            assert set(ref) == {f.name for f in dataclasses.fields(r)}
+            for name, value in ref.items():
+                assert np.array_equal(getattr(r, name), value), name
+            statuses.update(r.decode_status)
+            wrong += int((r.decoded_indices != r.true_indices).sum())
+            cover_failures += int(r.event_a.sum())
+    assert statuses == {s.value for s in DecodeStatus} and wrong and cover_failures
 
 
 def test_run_scheme_counts_three_types_and_draws_no_per_block_stream(cand, monkeypatch):
