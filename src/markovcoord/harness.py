@@ -97,7 +97,7 @@ class ExperimentConfig:
 
 def default_config(kind: str) -> dict:
     """Template config with every default applied (--print-defaults)."""
-    sweep_keys, options = _KIND_KEYS[kind]
+    sweep_keys, option_defaults = _KIND_KEYS[kind]
     sweep = {k: [] for k in sweep_keys}
     if "eps" in sweep:
         sweep["eps"] = list(DEFAULTS["sweep_defaults"]["eps"])
@@ -117,7 +117,7 @@ def default_config(kind: str) -> dict:
         "trials": DEFAULTS["trials"],
         "master_seed": DEFAULTS["master_seed"],
         "output_path": DEFAULTS["output_path"],
-        "options": dict(options),
+        "options": dict(option_defaults),
     }
 
 
@@ -236,7 +236,7 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
     inst_raw = raw.get("instance", {})
     candidate = _build_candidate(inst_raw, problems)
 
-    sweep_keys, options = _KIND_KEYS[eff_kind]
+    sweep_keys, option_defaults = _KIND_KEYS[eff_kind]
     sweep_raw = raw.get("sweep", {})
     sweep: Dict[str, List[Any]] = {}
     for key in sweep_keys:
@@ -256,7 +256,7 @@ def config_from_dict(raw: dict, kind: Optional[str] = None) -> ExperimentConfig:
     for key, value in scalars.items():
         _valid(key, key, value, problems)
 
-    options = dict(options)
+    options = dict(option_defaults)
     for k, v in raw.get("options", {}).items():
         if k not in options:
             problems.append(f"options.{k}: not an option of kind {eff_kind!r}")

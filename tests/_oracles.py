@@ -284,7 +284,9 @@ def reference_scheme(cfg):
     cfg.scan_limit when given), each block's channel path is one
     markov_path from the state the block before ended in, each decode is
     `packing_decode_full_table`, each decoded block draws its own V, and
-    each block's 5-tuple type is counted on its own."""
+    each block's 5-tuple type is counted on its own.  Codewords, random
+    streams and markov_path are the package's; what this checks is the
+    scheme's block logic and its accounting."""
     cand, n, B, seed = cfg.candidate, cfg.n, cfg.num_blocks, cfg.seed
     nu, nx, nw, ny, nv = cand.sizes
     cb = Codebook(cand, n, cfg.rate, seed)

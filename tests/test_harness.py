@@ -30,6 +30,17 @@ def _simulate_raw(**overrides):
     return raw
 
 
+_SWEEPS = {"region": {"w_size": [2]}, "typicality-audit": {"n": [20], "eps": [0.3]},
+           "aep-audit": {"n": [6], "eps": [0.8]},
+           "packing-probe": {"n": [20], "rate": [0.05], "eps": [0.3]}}
+
+
+def _valid_raw(kind):
+    """A small config of `kind` that validates."""
+    return _simulate_raw() if kind == "simulate" else dict(
+        default_config(kind), sweep={k: list(v) for k, v in _SWEEPS[kind].items()})
+
+
 def test_default_configs_validate():
     for kind in KINDS:
         raw = default_config(kind)
@@ -141,9 +152,7 @@ def test_validation_error_on_kind_and_sweep():
 ])
 def test_validation_error_names_bad_value(kind, path, value):
     # bad values fail at load, naming the field, instead of becoming error rows
-    sweeps = {"region": {"w_size": [2]}, "aep-audit": {"n": [6], "eps": [0.8]}}
-    raw = _simulate_raw() if kind == "simulate" else dict(
-        default_config(kind), sweep=sweeps[kind])
+    raw = _valid_raw(kind)
     parent = raw
     for key in path[:-1]:
         parent = parent[key]
@@ -162,9 +171,6 @@ _OWN_KEYS = {
     "aep-audit": ({"n", "eps"}, {"audit_max_pairs", "audit_sample_size"}),
     "packing-probe": ({"n", "rate", "eps"}, set()),
 }
-_SWEEPS = {"region": {"w_size": [2]}, "typicality-audit": {"n": [20], "eps": [0.3]},
-           "aep-audit": {"n": [6], "eps": [0.8]},
-           "packing-probe": {"n": [20], "rate": [0.05], "eps": [0.3]}}
 # a valid value of every key, so only its kind can make it fail
 _VALUES = {"w_size": [2], "n": [20], "num_blocks": [3], "rate": [0.05], "eps": [0.3],
            "optimizer_budget": 5, "optimizer_starts": 4, "cover_eps": 0.2,
@@ -187,8 +193,7 @@ def test_default_config_lists_only_its_own_keys(kind):
 
 @pytest.mark.parametrize("kind,section,key", _FOREIGN)
 def test_keys_of_another_kind_exit_2_naming_the_field(kind, section, key, tmp_path, capsys):
-    raw = _simulate_raw() if kind == "simulate" else dict(default_config(kind),
-                                                          sweep=dict(_SWEEPS[kind]))
+    raw = _valid_raw(kind)
     raw[section][key] = _VALUES[key]
     with pytest.raises(ValidationError) as exc:
         config_from_dict(raw)
