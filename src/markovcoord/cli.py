@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import (
@@ -57,6 +58,11 @@ def main(argv=None) -> int:
         cfg = config_from_dict(raw, kind=args.kind)
     except (ParseError, ValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    try:  # an unusable output directory fails before the sweep, not after it
+        os.makedirs(cfg.output_path, exist_ok=True)
+    except OSError as e:
+        print(f"config error: output_path: {e}", file=sys.stderr)
         return 2
     records = run_experiment(cfg)
     paths = emit_report(records, cfg.output_path)

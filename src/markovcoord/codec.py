@@ -7,9 +7,11 @@ channel codeword indexed by the covering choice.  The channel is one
 Markov path over the concatenated blocks, so its state carries across
 block boundaries; covering never looks at the channel output, so the
 whole path is sampled in one call once every index is chosen.  The
-decoder resolves indices block by block with two Markov-typicality
-checks, and after the last block reconstructs the auxiliary words and
-generates its outputs; the final block's output is the all-zero sequence.
+decoder resolves indices with two Markov-typicality checks: condition 1
+reads the outputs alone, so it is counted for runs of blocks at once;
+condition 2 needs the previous block's decision, so it runs block by
+block.  After the last block the decoder reconstructs the auxiliary words
+and generates its outputs; the final block's output is the all-zero sequence.
 
 All randomness is counter-based (see rng): a scheme configuration plus
 its seed reproduces every codeword, channel transition, and decoder
@@ -22,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +65,13 @@ def message_count(n: int, rate: float) -> int:
 
     Past the float range (n R >= 1024) the size is an exact Python int:
     2^{n R - k} carried to 53 bits and shifted by k - 52, with k = floor(n R).
+    MemoryGuard when n R is not finite or that int alone, n R / 8 bytes,
+    would exceed MEMORY_GUARD_BYTES.
     """
     x = n * rate
+    if not x / 8 <= MEMORY_GUARD_BYTES:
+        raise MemoryGuard(f"a codebook of 2^{x:.6g} words needs more than "
+                          f"{MEMORY_GUARD_BYTES} bytes for its size alone")
     try:
         return max(1, math.ceil(2.0 ** x))
     except OverflowError:
@@ -242,39 +249,52 @@ def _transmit(cb: Codebook, m: np.ndarray, y0: int,
     return x, y.reshape(x.shape)
 
 
-def _decode_gaps(cb: Codebook, y_prev: np.ndarray, y_cur: np.ndarray,
-                 m_prev: int, boundary_prev: int, boundary_cur: int, eps: float):
-    """(gaps1, gaps2) of every index under the two decoder conditions;
-    condition 2 is counted only where condition 1 passes (gaps2 = inf
-    elsewhere), so the decision (gaps1 <= eps) & (gaps2 <= eps) is unchanged.
-    Both are counted in passes of about _DECODE_PASS_BYTES of temporaries,
-    so only the per-index vectors grow with the codebook."""
+def _decision(hits: np.ndarray) -> DecodeResult:
+    """A block decodes to its single hit; no hit or several leave it undecided."""
+    status = (DecodeStatus.NONE, DecodeStatus.OK, DecodeStatus.AMBIGUOUS)[min(hits.size, 2)]
+    return DecodeResult(status, int(hits[0]) if hits.size == 1 else None, int(hits.size))
+
+
+def _block_hits(cb: Codebook, y: np.ndarray, boundaries: np.ndarray, m0: int, eps: float):
+    """For blocks b = 1..B-1 of the (B, n) outputs y, whose y' at t=1 is
+    boundaries[b], yield the indices passing both decoder conditions.
+
+    Condition 2 of block b reads block b-1's decision: m0 for block 0, else
+    its single hit, or 0.  Condition 1 reads y alone, so it is counted for
+    runs of blocks at once: a pass holds about _DECODE_PASS_BYTES over
+    (block, index) pairs, whole blocks when the codebook fits and index
+    slices of one block when it does not."""
     candidate = cb.candidate
     nu, nx, nw, ny, nv = candidate.sizes
-    n = cb.n
-    # condition 1: (y_cur, X(m)) against pi x P_X x W, all candidates, by popcount;
-    # a pass holds the plane AND temporaries, an int64 count table and two
-    # float64 gap temporaries per index
-    gaps1 = np.empty(cb.m_count)
+    n, m_count = cb.n, cb.m_count
+    # condition 1: (y_b, X(m)) against pi x P_X x W, by popcount; a pair holds
+    # its plane AND temporaries, an int64 count table and two float64 gap temporaries
     words = cb.x_planes.shape[-1]
-    step = max(1, _DECODE_PASS_BYTES // (8 * (nx - 1) * ny * ny * words + 24 * ny * nx * ny))
-    for lo in range(0, cb.m_count, step):
-        counts1 = kernels.plane_triplet_counts(cb.x_planes[lo:lo + step], y_cur,
-                                               boundary_cur, nx, ny)
-        gaps1[lo:lo + step] = kernels.l1_gaps(counts1, n, candidate.decode_target1)
-    # condition 2: (y_prev, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W,
+    pairs = max(1, _DECODE_PASS_BYTES // (8 * (nx - 1) * ny * ny * words + 24 * ny * nx * ny))
+    blocks, step = max(1, pairs // m_count), min(pairs, m_count)
+    # condition 2: (y_{b-1}, X(m_prev), W(m_prev, m)) against pi x P_X x P_W|X x W,
     # a triplet count whose input symbol is the pair x * nw + w; a pass holds
     # about eight int64 words per symbol of each survivor's W row
-    idx = np.flatnonzero(gaps1 <= eps)
-    gaps2 = np.full(cb.m_count, np.inf)
-    step = max(1, _DECODE_PASS_BYTES // (64 * n))
-    x_prev = cb.x_word(m_prev)
-    for lo in range(0, idx.size, step):
-        part = idx[lo:lo + step]
-        xw = x_prev * nw + cb.w_rows(m_prev, part, x_prev)
-        counts2 = kernels.triplet_counts(xw, y_prev, boundary_prev, nx * nw, ny)
-        gaps2[part] = kernels.l1_gaps(counts2, n, candidate.decode_target2)
-    return gaps1, gaps2
+    step2 = max(1, _DECODE_PASS_BYTES // (64 * n))
+    m_prev = m0
+    for lo in range(1, len(y), blocks):
+        hi = min(lo + blocks, len(y))
+        gaps1 = np.empty((hi - lo, m_count))
+        for i in range(0, m_count, step):
+            counts1 = kernels.plane_triplet_counts(cb.x_planes[i:i + step], y[lo:hi],
+                                                   boundaries[lo:hi], nx, ny)
+            gaps1[:, i:i + step] = kernels.l1_gaps(counts1, n, candidate.decode_target1)
+        for b in range(lo, hi):
+            idx = np.flatnonzero(gaps1[b - lo] <= eps)
+            gaps2 = np.empty(idx.size)
+            x_prev = cb.x_word(m_prev)
+            for i in range(0, idx.size, step2):
+                xw = x_prev * nw + cb.w_rows(m_prev, idx[i:i + step2], x_prev)
+                counts2 = kernels.triplet_counts(xw, y[b - 1], boundaries[b - 1], nx * nw, ny)
+                gaps2[i:i + step2] = kernels.l1_gaps(counts2, n, candidate.decode_target2)
+            hits = idx[gaps2 <= eps]
+            yield hits
+            m_prev = _decision(hits).index or 0
 
 
 def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
@@ -294,16 +314,10 @@ def decode_block(y_prev_block: np.ndarray, y_block: np.ndarray,
     ny = cb.candidate.channel.output_size
     y_prev_block = check_seq(y_prev_block, ny, "y_prev_block", cb.n)
     y_block = check_seq(y_block, ny, "y_block", cb.n)
-    boundary_prev, boundary_cur = check_seq(y_boundary_states, ny, "y_boundary_states", 2)
+    boundaries = check_seq(y_boundary_states, ny, "y_boundary_states", 2)
     cb.materialize_x()
-    gaps1, gaps2 = _decode_gaps(cb, y_prev_block, y_block, m_tilde_prev,
-                                boundary_prev, boundary_cur, eps)
-    hits = np.nonzero((gaps1 <= eps) & (gaps2 <= eps))[0]
-    if hits.size == 0:
-        return DecodeResult(DecodeStatus.NONE, None, 0)
-    if hits.size > 1:
-        return DecodeResult(DecodeStatus.AMBIGUOUS, None, int(hits.size))
-    return DecodeResult(DecodeStatus.OK, int(hits[0]), 1)
+    y = np.stack([y_prev_block, y_block])
+    return _decision(next(_block_hits(cb, y, boundaries, m_tilde_prev, eps)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,16 +409,10 @@ def run_scheme(cfg: SchemeConfig,
     counts = kernels.triplet_counts(x, y, boundaries, nx, ny)
     event_b = kernels.l1_gaps(counts, n, cand.decode_target1) > cfg.eps
 
-    decoded_m = np.zeros(B, dtype=np.int64)
-    status: List[str] = [DecodeStatus.OK.value]
-    event_c = np.zeros(B, dtype=bool)
-    for b in range(1, B):
-        res = decode_block(y[b - 1], y[b], int(decoded_m[b - 1]), cb, cfg.eps,
-                           (int(boundaries[b - 1]), int(boundaries[b])))
-        decoded_m[b] = res.index if res.status is DecodeStatus.OK else 0
-        status.append(res.status.value)
-        event_c[b] = (res.status is not DecodeStatus.OK
-                      or int(decoded_m[b]) != int(true_m[b]))
+    decisions = [_decision(hits) for hits in _block_hits(cb, y, boundaries, 0, cfg.eps)]
+    decoded_m = np.array([0] + [d.index or 0 for d in decisions], dtype=np.int64)
+    status = [DecodeStatus.OK.value] + [d.status.value for d in decisions]
+    event_c = (np.array(status) != DecodeStatus.OK.value) | (decoded_m != true_m)
 
     # decoder outputs from (X(m_hat_b), W(m_hat_b, m_hat_{b+1})); the last block's is zero
     x_hat = kernels.plane_symbols(cb.x_planes[decoded_m[:-1]], n)
@@ -443,10 +451,7 @@ def joint_packing_event(candidate: InnerCandidate, n: int, rate: float,
     cb.materialize_x()
     if cb.m_count == 1:
         return {"event": False, "m_count": 1, "wrong_candidates": 0}
-    m_prev, m_true = 0, 1
-    _, (y_prev, y_cur) = _transmit(cb, np.array([m_prev, m_true]), y0, seed)
-    gaps1, gaps2 = _decode_gaps(cb, y_prev, y_cur, m_prev, y0, int(y_prev[-1]), eps)
-    passing = (gaps1 <= eps) & (gaps2 <= eps)
-    passing[m_true] = False
-    wrong = int(passing.sum())
+    _, y = _transmit(cb, np.array([0, 1]), y0, seed)
+    hits = next(_block_hits(cb, y, kernels.prev_states(y[:, -1], y0), 0, eps))
+    wrong = int((hits != 1).sum())
     return {"event": wrong > 0, "m_count": cb.m_count, "wrong_candidates": wrong}

@@ -27,13 +27,12 @@ from .codec import (
     DecodeStatus,
     SchemeConfig,
     joint_packing_event,
-    message_count,
     run_scheme,
 )
 from .probability import AssumptionViolated, ConvergenceError, Dist, Kernel
 from .region import InnerCandidate, optimize_auxiliary
 from .rng import derive_key
-from .typicality import aep_audit, prop1_gaps, sample_pairs
+from .typicality import MAX_EXACT_PAIRS, aep_audit, prop1_gaps, sample_pairs
 
 # kind -> (sweep keys, {option: default}); a key of another kind fails at load.
 # Options: optimizer sweeps and starts, the covering radius (None: eps) and
@@ -42,7 +41,7 @@ _KIND_KEYS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "region": (("w_size",), {"optimizer_budget": 30, "optimizer_starts": 16}),
     "simulate": (("n", "num_blocks", "rate", "eps"), {"cover_eps": None, "scan_limit": None}),
     "typicality-audit": (("n", "eps"), {}),
-    "aep-audit": (("n", "eps"), {"audit_max_pairs": 10_000_000, "audit_sample_size": 20_000}),
+    "aep-audit": (("n", "eps"), {"audit_max_pairs": MAX_EXACT_PAIRS, "audit_sample_size": 20_000}),
     "packing-probe": (("n", "rate", "eps"), {}),
 }
 KINDS = tuple(_KIND_KEYS)
@@ -170,7 +169,8 @@ _CHECKS: Dict[str, Tuple[Any, str]] = {
     "scan_limit": (lambda v: v is None or _POSITIVE_INT[0](v), "null or " + _POSITIVE_INT[1]),
     "optimizer_budget": _POSITIVE_INT,
     "optimizer_starts": _POSITIVE_INT,
-    "audit_max_pairs": _POSITIVE_INT,
+    "audit_max_pairs": (lambda v: _POSITIVE_INT[0](v) and v <= MAX_EXACT_PAIRS,
+                        f"an integer in [1, {MAX_EXACT_PAIRS}]"),
     "audit_sample_size": _POSITIVE_INT,
 }
 
@@ -188,11 +188,15 @@ def _has_bool(value: Any) -> bool:
         isinstance(value, list) and any(_has_bool(v) for v in value))
 
 
+# instance table -> (the InnerCandidate field it fills, its value type)
+_TABLES = {"u_pmf": ("p_u", Dist), "x_pmf": ("p_x", Dist), "channel": ("channel", Kernel),
+           "w_given_ux": ("p_w_given_ux", Kernel), "v_given_yxw": ("p_v_given_yxw", Kernel)}
+
+
 def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate]:
     """The instance's InnerCandidate, or None with every fault in `problems`."""
     parts = {}
-    for fname, build in [("u_pmf", Dist), ("x_pmf", Dist), ("channel", Kernel),
-                         ("w_given_ux", Kernel), ("v_given_yxw", Kernel)]:
+    for fname, (_, build) in _TABLES.items():
         if fname not in inst:
             problems.append(f"instance.{fname}: missing")
             continue
@@ -206,11 +210,12 @@ def _build_candidate(inst: dict, problems: List[str]) -> Optional[InnerCandidate
     if len(parts) < 5:
         return None
     try:
-        candidate = InnerCandidate(
-            p_u=parts["u_pmf"], p_x=parts["x_pmf"], p_w_given_ux=parts["w_given_ux"],
-            channel=parts["channel"], p_v_given_yxw=parts["v_given_yxw"])
+        candidate = InnerCandidate(**{attr: parts[f] for f, (attr, _) in _TABLES.items()})
     except (ValueError, AssumptionViolated, ConvergenceError) as e:
-        problems.append(f"instance: {e}")
+        # a shape error starts with the InnerCandidate field: name its table
+        where = next((f"instance.{f}" for f, (attr, _) in _TABLES.items()
+                      if str(e).startswith(attr + " ")), "instance")
+        problems.append(f"{where}: {e}")
         return None
     ny, y0 = candidate.channel.output_size, inst.get("y0", 0)
     if not (type(y0) is int and 0 <= y0 < ny):
@@ -368,7 +373,7 @@ def _run_simulate(cfg, point, seed):
         "rate_a": float(r.event_a.sum() / (b - 1)),
         "rate_b": float(r.event_b.sum() / b),
         "rate_c": float(r.event_c.sum() / (b - 1)),
-        "m_count": message_count(scfg.n, scfg.rate),
+        "m_count": scfg.m_count,
         "decode_none": r.decode_status.count(DecodeStatus.NONE.value),
         "decode_ambiguous": r.decode_status.count(DecodeStatus.AMBIGUOUS.value),
     }

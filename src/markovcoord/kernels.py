@@ -140,20 +140,22 @@ def plane_symbols(planes: np.ndarray, n: int) -> np.ndarray:
 
 
 def plane_triplet_counts(planes: np.ndarray, y: np.ndarray, y0, nx: int, ny: int) -> np.ndarray:
-    """triplet_counts(x, y, y0, nx, ny) of the rows x whose `bit_planes(x, nx)`
-    are `planes` (..., nx - 1, words), against one output row y and scalar y0.
+    """triplet_counts(x, y[j], y0[j], nx, ny) of the rows x whose `bit_planes(x, nx)`
+    are `planes` (..., nx - 1, words), against each output row y[j] of a
+    (k, n) y with its own y0[j]: shape (k, ..., ny * nx * ny).
 
     Cell (y', x >= 1, y) of a row is the popcount of plane x AND the (y', y)
-    class mask; the x = 0 cell is the class size minus the others.  All rows
-    are ANDed at once, 8 (nx - 1) ny^2 words bytes each, so callers pass rows
-    in bounded slices."""
+    class mask; the x = 0 cell is the class size minus the others.  All
+    (output row, plane row) pairs are ANDed at once, 8 (nx - 1) ny^2 words
+    bytes each, so callers pass them in bounded slices."""
     cls = prev_states(y, y0) * ny + y
-    masks = bit_planes(cls + 1, ny * ny + 1).reshape(ny, 1, ny, -1)  # (y', 1, y, words)
-    sizes = row_counts(cls, ny * ny).reshape(ny, 1, ny)
-    anded = planes[..., None, :, None, :] & masks  # (..., y', x - 1, y, words)
+    lead = (len(y),) + (1,) * (planes.ndim - 2)
+    masks = bit_planes(cls + 1, ny * ny + 1).reshape(lead + (ny, 1, ny, -1))  # (y', 1, y, words)
+    sizes = row_counts(cls, ny * ny).reshape(lead + (ny, 1, ny))
+    anded = planes[..., None, :, None, :] & masks  # (k, ..., y', x - 1, y, words)
     ones = np.bitwise_count(anded).sum(axis=-1, dtype=np.int64)
     counts = np.concatenate([sizes - ones.sum(axis=-2, keepdims=True), ones], axis=-2)
-    return counts.reshape(planes.shape[:-2] + (ny * nx * ny,))
+    return counts.reshape(counts.shape[:-3] + (ny * nx * ny,))
 
 
 def l1_gaps(counts: np.ndarray, n: int, target: np.ndarray) -> np.ndarray:

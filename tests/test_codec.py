@@ -50,6 +50,10 @@ def test_message_count():
     # past the float range: an exact int, where 2.0 ** 1500 would overflow
     assert message_count(300, 5.0) == 2 ** 1500
     assert message_count(2, 512.25).bit_length() == 1025
+    # n R not finite, or an exact count past the byte guard (n R / 8 bytes)
+    for n, rate in ((40, 1e300), (40, 1e308), (100, 1e9)):
+        with pytest.raises(MemoryGuard):
+            message_count(n, rate)
 
 
 @pytest.mark.filterwarnings("ignore:rate")
@@ -405,7 +409,8 @@ def test_decode_block_memory_stays_bounded(cand):
 def test_decode_memory_stays_within_the_guard(cand, monkeypatch):
     # the guard counts the plane table and the per-index decode vectors, and
     # every other temporary lives in a bounded pass, even when every index
-    # survives condition 1 (no l1 gap exceeds 2) and condition 2 counts them all
+    # survives condition 1 (no l1 gap exceeds 2) and condition 2 counts them
+    # all, in one block and in each block of a run
     monkeypatch.setattr(codec, "MEMORY_GUARD_BYTES", 2 * 10 ** 6)
     monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", 1 << 17)
     monkeypatch.setattr(codec, "_X_CHUNK_CELLS", 1 << 14)
@@ -413,23 +418,53 @@ def test_decode_memory_stays_within_the_guard(cand, monkeypatch):
         Codebook(cand, 100, 0.16, seed=0).materialize_x()  # 2^16 codewords
     cb = Codebook(cand, 100, 0.15, seed=0)  # 2^15 codewords, 1.8 MB
     y_prev, y_cur = _two_blocks(Codebook(cand, 100, 0.15, seed=0), 0, 1, 0, 0)
+    y = _channel(np.stack([cb.x_word(m) for m in range(3)]), 0, cand.channel,
+                 derive_keys(derive_key(2, _TAG_CHAN), np.arange(3)))
+    bounds = kernels.prev_states(y[:, -1], 0)
     tracemalloc.start()
     try:
         cb.materialize_x()
         res = decode_block(y_prev, y_cur, 0, cb, 2.0, (0, int(y_prev[-1])))
+        run_hits = [hits.size for hits in codec._block_hits(cb, y, bounds, 0, 2.0)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.n_candidates == cb.m_count
+    assert run_hits == [cb.m_count] * 2
     assert peak < codec.MEMORY_GUARD_BYTES + 2 * codec._DECODE_PASS_BYTES
-    # the passes give the same gaps, bit for bit, as one pass over every index
-    y_prev, y_cur = _two_blocks(cb, 0, 1, 0, 1)
-    args = (cb, y_prev, y_cur, 0, 0, int(y_prev[-1]), 0.5)
-    passes = codec._decode_gaps(*args)
-    assert 0 < (passes[0] <= 0.5).sum() < cb.m_count
+    # index-slice passes give the same hits, block by block, as one pass over
+    # every (block, index) pair
+    passes = list(codec._block_hits(cb, y, bounds, 0, 0.5))
+    assert 0 < sum(hits.size for hits in passes) < 2 * cb.m_count
     monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", 1 << 40)
-    for got, one_pass in zip(passes, codec._decode_gaps(*args)):
-        assert np.array_equal(got, one_pass)
+    one_pass = list(codec._block_hits(cb, y, bounds, 0, 0.5))
+    assert len(one_pass) == len(passes) == 2
+    for got, want in zip(passes, one_pass):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pass_bytes,calls", [(None, [29]), (8 * 4 * 256, [8, 8, 8, 5])])
+def test_run_scheme_counts_condition_1_once_per_pass(cand, monkeypatch, pass_bytes, calls):
+    # condition 1 reads the outputs alone, so one plane_triplet_counts call
+    # counts every block that fits a pass (at |M| = 4 and n = 100 a (block,
+    # index) pair takes 256 bytes), and the run equals the plain block loop
+    seen = []
+    plane_counts = kernels.plane_triplet_counts
+
+    def counted(planes, y, y0, nx, ny):
+        seen.append(len(y))
+        return plane_counts(planes, y, y0, nx, ny)
+
+    monkeypatch.setattr(kernels, "plane_triplet_counts", counted)
+    if pass_bytes is not None:
+        monkeypatch.setattr(codec, "_DECODE_PASS_BYTES", pass_bytes)
+    cfg = SchemeConfig(candidate=cand, n=100, num_blocks=30, rate=0.02,
+                       eps=BLESSED["eps_decode"], cover_eps=BLESSED["eps_cover"], seed=4)
+    assert cfg.m_count == 4
+    r = run_scheme(cfg)
+    assert seen == calls
+    for name, value in reference_scheme(cfg).items():
+        assert np.array_equal(getattr(r, name), value), name
 
 
 def _collide_w(cb):
@@ -475,19 +510,20 @@ def test_run_scheme_generates_w_rows_only_for_survivors(cand, monkeypatch):
         rows["cover"] += rows["all"] - before
         return out
 
-    decode_gaps = codec._decode_gaps
-
-    def counted_decode_gaps(*args):
-        gaps1, gaps2 = decode_gaps(*args)
-        rows["survivors"] += int((gaps1 <= args[-1]).sum())
-        return gaps1, gaps2
-
-    monkeypatch.setattr(Codebook, "w_rows", counted_w_rows)
-    monkeypatch.setattr(codec, "encode_block", counted_encode)
-    monkeypatch.setattr(codec, "_decode_gaps", counted_decode_gaps)
     cfg = SchemeConfig(candidate=cand, n=300, num_blocks=8,
                        rate=BLESSED["rate_mid"], eps=BLESSED["eps_decode"],
                        cover_eps=BLESSED["eps_cover"], seed=21)
+    plane_counts = kernels.plane_triplet_counts
+
+    def counted_plane_counts(*args):  # condition 1: its survivors are the l1 gaps <= eps
+        counts = plane_counts(*args)
+        gaps = kernels.l1_gaps(counts, cfg.n, cand.decode_target1)
+        rows["survivors"] += int((gaps <= cfg.eps).sum())
+        return counts
+
+    monkeypatch.setattr(Codebook, "w_rows", counted_w_rows)
+    monkeypatch.setattr(codec, "encode_block", counted_encode)
+    monkeypatch.setattr(kernels, "plane_triplet_counts", counted_plane_counts)
     r = run_scheme(cfg)
     decoded_blocks = cfg.num_blocks - 1
     assert rows["cover"] > 0

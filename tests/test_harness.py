@@ -1,7 +1,14 @@
+import contextlib
+import csv
+import io
 import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from markovcoord import harness, probability
 from markovcoord.cli import main as cli_main
@@ -149,6 +156,9 @@ def test_validation_error_on_kind_and_sweep():
                                            [[0.25, 0.75], [0.29, 0.71]]]),
     ("simulate", ("instance", "x_pmf"), [float("nan"), 1.0]),
     ("simulate", ("instance", "w_given_ux"), [[[float("inf"), 0.0]] * 2] * 2),
+    ("aep-audit", ("options", "audit_max_pairs"), 10 ** 7 + 1),
+    ("simulate", ("instance", "w_given_ux"), [[[1.0]]]),  # shapes that disagree
+    ("simulate", ("instance", "channel"), [[[1.0]]]),
 ])
 def test_validation_error_names_bad_value(kind, path, value):
     # bad values fail at load, naming the field, instead of becoming error rows
@@ -159,7 +169,7 @@ def test_validation_error_names_bad_value(kind, path, value):
     parent[path[-1]] = value
     with pytest.raises(ValidationError) as exc:
         config_from_dict(raw)
-    assert len(exc.value.fields) == 1 and path[-1] in exc.value.fields[0]
+    assert len(exc.value.fields) == 1 and exc.value.fields[0].startswith(".".join(path) + ": ")
 
 
 # Each kind's own sweep keys and options, written out here rather than read
@@ -456,6 +466,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "scan_limit" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
+    # an output path that cannot be a directory -> 2, before any row runs
+    for unusable in (str(good), "/dev/null/x"):
+        assert cli_main(["simulate", "--config", str(good), "--out", unusable]) == 2
+        assert "config error: output_path:" in capsys.readouterr().err
+    assert json.loads(good.read_text()) == raw
+
     # an error row -> 1
     raw_err = _simulate_raw(trials=1)
     raw_err["sweep"]["rate"] = [0.5]
@@ -512,3 +528,112 @@ def test_simulate_records_count_decode_outcomes(monkeypatch):
         assert m["decode_ambiguous"] == decoded.count("ambiguous")
         assert m["decode_none"] + m["decode_ambiguous"] + decoded.count("ok") == 5
     assert sum(row["metrics"]["decode_none"] for row in rows) > 0
+
+
+@pytest.mark.filterwarnings("ignore:rate")
+@pytest.mark.parametrize("kind", ["simulate", "packing-probe"])
+@pytest.mark.parametrize("rate", [1e300, 1e308])
+def test_huge_rate_is_a_memory_guard_row(kind, rate):
+    # n R past the float range, or past what an exact int of the codebook
+    # size may hold, is the MemoryGuard row that a smaller huge rate gives
+    raw = _valid_raw(kind)
+    raw["sweep"]["rate"] = [rate]
+    rows = run_experiment(config_from_dict(raw)).rows
+    assert rows and all(row["error"].startswith("MemoryGuard: ") for row in rows)
+
+
+# One small valid config per kind for the property test below: n <= 64,
+# trials <= 2, num_blocks <= 4, w_size <= 2 and optimizer budgets <= 2.
+_SMALL = {"simulate": {"n": [40], "num_blocks": [3], "rate": [0.05], "eps": [0.3]},
+          "typicality-audit": {"n": [40], "eps": [0.3]},
+          "packing-probe": {"n": [40], "rate": [0.05], "eps": [0.3]}}
+_SMALL_OPTIONS = {"region": {"optimizer_budget": 2, "optimizer_starts": 2},
+                  "aep-audit": {"audit_max_pairs": 10 ** 4, "audit_sample_size": 50}}
+
+
+def _small_raw(kind):
+    raw = _valid_raw(kind)
+    raw["sweep"].update(_SMALL.get(kind, {}))
+    raw["options"].update(_SMALL_OPTIONS.get(kind, {}))
+    raw["trials"] = 2
+    return raw
+
+
+def _fields(raw):
+    """Paths of every field a mutation may touch: the top-level scalars but
+    output_path (the run writes where --out says), the instance tables and
+    y0, and each sweep key and option."""
+    return ([("kind",), ("trials",), ("master_seed",)]
+            + [("instance", k) for k in sorted(raw["instance"])]
+            + [(part, k) for part in ("sweep", "options") for k in sorted(raw[part])])
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("swap"), st.sampled_from(["x", None, True, [], {}, [[1]]])),
+    st.tuples(st.just("remove"), st.none()),
+    st.tuples(st.just("number"), st.sampled_from([-1, 0, 1e300])),
+    st.tuples(st.just("foreign"), st.sampled_from(sorted(_ALL_SWEEP | _ALL_OPTIONS))))
+
+
+def _mutate(raw, path, mutation):
+    """raw with one field changed; returns the key that a load error must name
+    (None for a "foreign" key the kind has, which changes nothing)."""
+    how, value = mutation
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "foreign":  # a key the kind does not have, in its sweep or options
+        part = "sweep" if value in _ALL_SWEEP else "options"
+        if value in raw[part]:
+            return None
+        raw[part][value] = [1] if part == "sweep" else 1
+        return value
+    if how == "remove":
+        del parent[path[-1]]
+    elif how == "swap":
+        parent[path[-1]] = value
+    else:  # a number in place of a sweep value, a first table entry or a scalar
+        old = parent[path[-1]]
+        if path[0] == "sweep":
+            parent[path[-1]] = [value]
+        elif isinstance(old, list):
+            leaf = old
+            while isinstance(leaf[0], list):
+                leaf = leaf[0]
+            leaf[0] = value
+        else:
+            parent[path[-1]] = value
+    return path[-1]
+
+
+@pytest.mark.filterwarnings("ignore:rate")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(KINDS), st.data(), _MUTATIONS)
+def test_one_bad_field_fails_at_load_or_runs_to_strict_json(tmp_path, kind, data, mutation):
+    # one mutated field either exits 2 naming that field, or the run exits 0,
+    # or 1 with only guard error rows, and writes strict JSON
+    raw = _small_raw(kind)
+    path = data.draw(st.sampled_from(_fields(raw)))
+    name = _mutate(raw, path, mutation)
+    out = tempfile.mkdtemp(dir=tmp_path)
+    cfg = f"{out}/config.json"
+    with open(cfg, "w") as fh:
+        json.dump(raw, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([kind, "--config", cfg, "--out", f"{out}/run"])
+    if code == 2:
+        assert name is not None and re.search(rf"\b{name}\b", err.getvalue())
+        return
+    assert code in (0, 1), code
+
+    def no_constant(token):
+        raise ValueError(f"{token} in summary.json")
+
+    with open(f"{out}/run/summary.json") as fh:
+        json.loads(fh.read(), parse_constant=no_constant)
+    with open(f"{out}/run/records.csv", newline="") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh) if row["error"]]
+    assert (code == 1) == bool(errors)
+    assert all(e.startswith(("MemoryGuard: ", "EnumerationTooLarge: ")) for e in errors), errors

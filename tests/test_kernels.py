@@ -177,7 +177,8 @@ def test_count_tables_match_loop(nx, ny, n, shapes, per_row_y0, seed):
 def test_plane_counts_match_triplet_counts(nx, ny, n, lead, seed):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, nx, lead + (n,))
-    y = rng.integers(0, ny, n)
+    y0 = np.arange(2 * ny) % ny  # every state, each on two output rows
+    y = rng.integers(0, ny, (y0.size, n))
     planes = kernels.bit_planes(x, nx)
     words = -(-n // 64)
     assert planes.dtype == np.uint64 and planes.shape == lead + (nx - 1, words)
@@ -186,10 +187,10 @@ def test_plane_counts_match_triplet_counts(nx, ny, n, lead, seed):
             packed = sum(int(w) << (64 * i) for i, w in enumerate(planes[idx][k - 1]))
             assert packed == sum(1 << t for t in range(n) if x[idx][t] == k)
     assert np.array_equal(kernels.plane_symbols(planes, n), x)
-    for y0 in range(ny):
-        got = kernels.plane_triplet_counts(planes, y, y0, nx, ny)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, kernels.triplet_counts(x, y, y0, nx, ny))
+    got = kernels.plane_triplet_counts(planes, y, y0, nx, ny)
+    assert got.dtype == np.int64 and got.shape == (y0.size,) + lead + (ny * nx * ny,)
+    for j in range(y0.size):  # each output row against every plane row, with its own y0
+        assert np.array_equal(got[j], kernels.triplet_counts(x, y[j], int(y0[j]), nx, ny))
 
 
 def _nodes_by_function(tree):
